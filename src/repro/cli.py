@@ -977,7 +977,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_positive_int, default=None,
                    help="solve under engine.parallel(workers=N)")
     p.add_argument("--retries", type=_nonneg_int, default=None,
-                   help="max per-task retries in the supervised pool "
+                   help="max per-task retries on isolating transports "
                    "(default $REPRO_MAX_RETRIES, else 2)")
     p.add_argument("--task-timeout", type=float, default=None,
                    help="per-task deadline in seconds "

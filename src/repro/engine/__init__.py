@@ -4,7 +4,7 @@ Four orthogonal facilities every analysis layer builds on:
 
 ``executor`` / ``transport``
     Ordered fan-out of independent work units over a pluggable transport
-    (inline, supervised process pool, fresh worker subprocesses, or the
+    (inline, a process pool, fresh worker subprocesses, or the
     lease-based remote worker fleet in :mod:`repro.engine.remote`) with
     deterministic per-task seeding — results are bit-identical across
     worker counts *and* transports (see the executor docstring for the
@@ -16,9 +16,10 @@ Four orthogonal facilities every analysis layer builds on:
     environment fingerprint — serializable to JSON and re-executable by
     ``repro replay``.
 ``resilience`` / ``faults``
-    Fault tolerance for unattended runs: the supervised pool loop
-    (per-task timeout, bounded retry, broken-pool recovery, sequential
-    degradation), checkpointed batches under ``$REPRO_CHECKPOINT_DIR``,
+    Fault tolerance for unattended runs: the one task-unit lifecycle
+    every isolating transport shares (per-unit deadline, bounded retry,
+    re-dispatch of lost units, in-parent degradation), checkpointed
+    batches under ``$REPRO_CHECKPOINT_DIR``,
     and the deterministic fault-injection harness the chaos suite uses
     to prove bit-identity under failure.
 ``cache``
@@ -74,7 +75,7 @@ from repro.engine.resilience import (
     configure_checkpoints,
     get_checkpoint_store,
     resolve_policy,
-    supervised_map,
+    run_units,
 )
 from repro.engine.transport import (
     InlineTransport,
@@ -101,7 +102,7 @@ __all__ = [
     # resilience
     "ResiliencePolicy",
     "resolve_policy",
-    "supervised_map",
+    "run_units",
     "CheckpointStore",
     "configure_checkpoints",
     "get_checkpoint_store",

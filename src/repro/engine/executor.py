@@ -4,7 +4,7 @@ The experiment layer has three embarrassingly parallel workloads — SSA
 ensemble realizations, per-machine finishing-time CDFs, and parameter
 sweep points.  All of them route through :func:`run_tasks`, which runs
 sequentially by default and fans out over a selected transport
-(:mod:`repro.engine.transport`: in-process, supervised process pool, or
+(:mod:`repro.engine.transport`: in-process, a process pool, or
 fresh worker subprocesses) inside a :func:`parallel` context::
 
     from repro import engine
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import warnings
 from collections.abc import Callable, Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -45,6 +44,8 @@ from repro.engine import faults
 from repro.engine.cancellation import current_scope
 from repro.engine.metrics import get_registry
 from repro.engine.resilience import (
+    ResiliencePolicy,
+    env_number,
     get_checkpoint_store,
     resolve_policy,
 )
@@ -66,7 +67,7 @@ class EngineConfig:
 
     ``task_timeout`` and ``max_retries`` override the environment
     defaults (``REPRO_TASK_TIMEOUT`` / ``REPRO_MAX_RETRIES``) for the
-    supervised parallel path; ``None`` defers to the environment.
+    task-unit lifecycle; ``None`` defers to the environment.
     ``transport`` pins a transport by name (``inline`` / ``pool`` /
     ``subprocess``); ``None`` defers to ``$REPRO_TRANSPORT``, then to
     automatic selection (inline when sequential, pool otherwise).
@@ -80,10 +81,7 @@ class EngineConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError(f"task_timeout must be positive, got {self.task_timeout}")
-        if self.max_retries is not None and self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        ResiliencePolicy(self.task_timeout, self.max_retries or 0)  # validates
         if self.transport is not None:
             get_transport(self.transport)  # raises on unknown names
 
@@ -96,17 +94,7 @@ def current_config() -> EngineConfig:
     default (``$REPRO_WORKERS``, else sequential)."""
     if _config_stack:
         return _config_stack[-1]
-    env = os.environ.get("REPRO_WORKERS")
-    if env:
-        try:
-            return EngineConfig(workers=max(1, int(env)))
-        except ValueError:
-            warnings.warn(
-                f"ignoring malformed REPRO_WORKERS={env!r}; running sequentially",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return EngineConfig()
+    return EngineConfig(workers=max(1, env_number("REPRO_WORKERS", 1, int)))
 
 
 @contextmanager
@@ -119,7 +107,7 @@ def parallel(
     """Run enclosed engine workloads on ``workers`` parallel workers.
 
     ``workers=None`` uses the CPU count.  Contexts nest; the innermost
-    wins.  ``task_timeout`` / ``max_retries`` tune the supervised loop
+    wins.  ``task_timeout`` / ``max_retries`` tune the task-unit lifecycle
     (see :mod:`repro.engine.resilience`) and ``transport`` pins how task
     units are executed (see :mod:`repro.engine.transport`); unset values
     inherit from the enclosing context, then the environment.
@@ -161,11 +149,10 @@ def run_tasks(
     Execution routes through a transport (:mod:`repro.engine.transport`)
     resolved as: the ``transport`` argument, else the enclosing
     :func:`parallel` context's, else ``$REPRO_TRANSPORT``, else inline
-    when effectively sequential and the supervised pool otherwise.  The
+    when effectively sequential and the process pool otherwise.  The
     pickle probe covers ``fn`` and the first task only — per-task pickle
-    failures are absorbed by the transports themselves, which also
-    provide retries, per-task timeouts, and crashed-worker recovery
-    (see :mod:`repro.engine.resilience`).
+    failures, retries, per-task timeouts and crashed-worker recovery are
+    the task-unit lifecycle's (see :mod:`repro.engine.resilience`).
 
     ``checkpoint`` names a content-addressed batch key: when a
     checkpoint store is active (``$REPRO_CHECKPOINT_DIR`` or

@@ -2,17 +2,17 @@
 
 This is the remote end of the transport seam
 (:mod:`repro.engine.transport`): a stdlib-only coordinator + worker
-pair that ships the *same* content-addressed task units the subprocess
-transport pipes to children — ``seal_payload(pickle((fn, index,
-task)))`` in, a sealed ``("ok", value)`` / ``("err", exc)`` frame out —
-over HTTP to long-lived worker processes, possibly on other hosts.
+pair that ships the *same* sealed task units and result frames as the
+subprocess transport (one frame codec, in the transport module) over
+HTTP to long-lived worker processes, possibly on other hosts.  Attempts,
+deadlines, re-dispatch, degradation and the duplicate-answer digest
+check are :func:`repro.engine.resilience.run_units`'s, as on every
+transport; this module only moves units.
 
 The determinism contract is untouched: seeds are spawned per task
 before submission and results are reduced in task order (see
 :mod:`repro.engine.executor`), so re-running one unit anywhere, any
-number of times, reproduces it bit-identically.  Everything in this
-module exists to exploit that freedom safely when workers die, hang, or
-partition mid-ensemble:
+number of times, reproduces it bit-identically.
 
 **Registration.**  A worker registers with the coordinator carrying its
 environment fingerprint (:func:`repro.engine.environment
@@ -23,15 +23,10 @@ coordinator's is refused (409, counted ``engine.remote_env_rejected``)
 with a unit whose float output could silently differ.
 
 **Leases.**  A granted unit carries a deadline-bearing lease, renewed
-by the worker's heartbeats and clamped to the submitting cancel
-scope's own deadline.  A missed heartbeat or an expired lease marks
-the worker suspect: only its unfinished units are re-dispatched (to
-the front of the queue), each re-run bit-identical by the same-seed
-rerun contract.  When a straggler's late result races its replacement,
-the two result digests are compared — agreement is counted
-(``engine.remote_digest_agreements``), divergence fails the batch
-loudly (``engine.remote_digest_divergence``) because two answers for
-one unit means the determinism contract itself is broken.
+by the worker's heartbeats.  A missed heartbeat or an expired lease is
+a lost delivery of the units that worker held; the lifecycle
+re-dispatches them, and a late answer from the straggler is checked
+against its replacement's digest.
 
 **Circuit breaker.**  Per worker: consecutive delivery failures open
 the breaker (no grants) for an exponentially growing backoff; a
@@ -39,12 +34,8 @@ half-open probe unit then decides between closing it and re-opening.
 Flapping nodes stop receiving work without operator action.
 
 **Degradation is total-order.**  No healthy worker for
-``$REPRO_REMOTE_CONNECT_WAIT`` seconds degrades the remaining units to
-the supervised pool transport (which itself degrades to sequential
-in-parent execution) — remote → pool → inline, every step
-bit-identical.  A single unit that keeps bouncing
-(``$REPRO_REMOTE_MAX_REDISPATCH`` re-dispatches) runs in-parent
-instead of starving the batch.
+``$REPRO_REMOTE_CONNECT_WAIT`` seconds moves the rest of the batch to
+the pool carrier — remote → pool → inline, every step bit-identical.
 
 Fault kinds (:mod:`repro.engine.faults`) this layer enacts:
 ``heartbeat_loss`` (worker computes but stops heartbeating for
@@ -53,15 +44,14 @@ its traffic is black-holed for ``sleep`` seconds before the late
 delivery), ``lease_expiry`` (the coordinator force-expires one unit's
 lease despite a healthy worker).  ``worker_crash`` / ``task_timeout``
 / ``task_error`` work unchanged because units run through the same
-:func:`repro.engine.resilience._invoke` shim as every other transport.
+codec and fault shim as every other transport.
 
 Knobs (all ``REPRO_REMOTE_*``, documented in ``docs/engine.md``):
 ``BIND``, ``TOKEN``, ``LEASE``, ``HEARTBEAT``, ``CONNECT_WAIT``,
-``MAX_REDISPATCH``, ``BREAKER_FAILURES``, ``BREAKER_BACKOFF``,
-``SPAWN``.  ``repro worker`` (or ``python -m repro.engine.remote``)
-runs the worker loop; ``repro serve --transport remote`` starts the
-coordinator inside the job service so N workers form a shardable
-fleet.
+``BREAKER_FAILURES``, ``BREAKER_BACKOFF``, ``SPAWN``.  ``repro worker``
+(or ``python -m repro.engine.remote``) runs the worker loop; ``repro
+serve --transport remote`` starts the coordinator inside the job
+service so N workers form a shardable fleet.
 """
 
 from __future__ import annotations
@@ -74,7 +64,6 @@ import hmac
 import itertools
 import json
 import os
-import pickle
 import socket
 import subprocess
 import sys
@@ -87,38 +76,32 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.engine import faults
-from repro.engine.cache import seal_payload, unseal_payload
-from repro.engine.cancellation import current_scope
+from repro.engine.cache import unseal_payload
 from repro.engine.environment import environment_fingerprint
 from repro.engine.metrics import get_registry
-from repro.engine.resilience import ResiliencePolicy, _invoke, resolve_policy
-from repro.engine.transport import PendingBatch, Transport
-from repro.errors import JobCancelledError, TransportError, WorkerRejectedError
+from repro.engine.resilience import Carrier, env_number
+from repro.engine.transport import (
+    PoolCarrier,
+    Transport,
+    decode_frame,
+    encode_unit,
+    execute_unit,
+    worker_env,
+)
+from repro.errors import TransportError, WorkerRejectedError
 
 __all__ = [
     "FleetConfig",
     "FleetCoordinator",
     "RemoteWorkerTransport",
     "start_coordinator",
-    "get_coordinator",
-    "coordinator_url",
     "shutdown_fleet",
     "run_worker",
     "main",
 ]
 
-#: Parent-side collect loop tick (lease expiry / cancellation latency).
+#: Longest the parent waits between lease-expiry and fleet-health checks.
 _TICK_SECONDS = 0.05
-
-
-def _env_number(name: str, default, convert):
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return convert(raw)
-    except ValueError:
-        return default
 
 
 @dataclass(frozen=True)
@@ -136,7 +119,6 @@ class FleetConfig:
     lease_seconds: float = 15.0
     heartbeat_seconds: float | None = None
     connect_wait: float = 10.0
-    max_redispatch: int = 5
     breaker_failures: int = 3
     breaker_backoff: float = 0.5
     breaker_backoff_cap: float = 30.0
@@ -152,19 +134,20 @@ class FleetConfig:
     def from_env(cls, **overrides) -> FleetConfig:
         values = {
             "bind": os.environ.get("REPRO_REMOTE_BIND") or "127.0.0.1:0",
-            "token": os.environ.get("REPRO_REMOTE_TOKEN")
-            or os.environ.get("REPRO_SERVE_TOKEN")
-            or None,
-            "lease_seconds": _env_number("REPRO_REMOTE_LEASE", 15.0, float),
-            "heartbeat_seconds": _env_number("REPRO_REMOTE_HEARTBEAT", None, float),
-            "connect_wait": _env_number("REPRO_REMOTE_CONNECT_WAIT", 10.0, float),
-            "max_redispatch": _env_number("REPRO_REMOTE_MAX_REDISPATCH", 5, int),
-            "breaker_failures": _env_number("REPRO_REMOTE_BREAKER_FAILURES", 3, int),
-            "breaker_backoff": _env_number("REPRO_REMOTE_BREAKER_BACKOFF", 0.5, float),
-            "spawn": _env_number("REPRO_REMOTE_SPAWN", 0, int),
+            "token": _fleet_token(),
+            "lease_seconds": env_number("REPRO_REMOTE_LEASE", 15.0, float),
+            "heartbeat_seconds": env_number("REPRO_REMOTE_HEARTBEAT", None, float),
+            "connect_wait": env_number("REPRO_REMOTE_CONNECT_WAIT", 10.0, float),
+            "breaker_failures": env_number("REPRO_REMOTE_BREAKER_FAILURES", 3, int),
+            "breaker_backoff": env_number("REPRO_REMOTE_BREAKER_BACKOFF", 0.5, float),
+            "spawn": env_number("REPRO_REMOTE_SPAWN", 0, int),
         }
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
+
+
+def _fleet_token() -> str | None:
+    return os.environ.get("REPRO_REMOTE_TOKEN") or os.environ.get("REPRO_SERVE_TOKEN")
 
 
 def _check_token(expected: str | None, presented: str | None) -> bool:
@@ -191,8 +174,9 @@ class _Breaker:
     """Per-worker circuit breaker: closed → open → half-open → closed.
 
     A *delivery* failure (expired lease, missed heartbeat, worker
-    death) counts against the worker; a task's own exception does not —
-    the worker delivered a frame, the task simply failed.
+    death, corrupt frame) counts against the worker; a task's own
+    exception does not — the worker delivered a frame, the task simply
+    failed.
     """
 
     def __init__(self, config: FleetConfig):
@@ -239,66 +223,40 @@ class _Breaker:
 class _Worker:
     """Coordinator-side view of one registered worker."""
 
-    def __init__(self, worker_id: str, fingerprint: dict, config: FleetConfig):
+    def __init__(self, worker_id: str, config: FleetConfig):
         self.worker_id = worker_id
-        self.fingerprint = fingerprint
         self.last_seen = time.monotonic()
         self.alive = True
         self.breaker = _Breaker(config)
         self.leases: set[str] = set()
 
 
+@dataclass(eq=False)
 class _Unit:
-    """One content-addressed task unit and its delivery state."""
+    """One content-addressed task unit and its lease."""
 
-    __slots__ = (
-        "unit_id", "batch", "index", "payload", "attempts", "redispatches",
-        "lease_worker", "lease_deadline", "no_renew", "done", "digest",
-        "value", "local", "inbox",
-    )
-
-    def __init__(self, unit_id: str, batch: "_Batch", index: int, payload: bytes | None):
-        self.unit_id = unit_id
-        self.batch = batch
-        self.index = index
-        self.payload = payload
-        self.attempts = 0          # task-level ("err") retries
-        self.redispatches = 0      # delivery-level re-grants
-        self.lease_worker: str | None = None
-        self.lease_deadline: float | None = None
-        self.no_renew = False      # a force-expired lease stays expired
-        self.done = False
-        self.digest: str | None = None
-        self.value = None
-        self.local = payload is None  # unpicklable unit: run in-parent
-        self.inbox: list[tuple[str, bytes]] = []
+    unit_id: str
+    batch: _Batch
+    index: int
+    payload: bytes
+    lease_worker: str | None = None
+    lease_deadline: float | None = None
+    no_renew: bool = False  # a force-expired lease stays expired
 
 
 class _Batch:
-    """Parent-side record of one submitted batch."""
+    """The units one submitting thread has handed the coordinator, and
+    what happened to them since it last looked: grants ``(index,
+    monotonic time)``, frames ``(index, frame, from the current lease
+    holder)`` and the indexes whose delivery was lost."""
 
-    def __init__(self, batch_id, fn, tasks, policy, on_result, scope, workers):
+    def __init__(self, batch_id: str):
         self.batch_id = batch_id
-        self.fn = fn
-        self.tasks = tasks
-        self.policy = policy
-        self.on_result = on_result
-        self.scope = scope
-        self.workers = workers
-        self.units: list[_Unit] = []
-        self.results: dict[int, object] = {}
-        self.failure: BaseException | None = None
-        self.aborted = False
-
-    def record(self, index: int, value) -> None:
-        if index in self.results:
-            return
-        self.results[index] = value
-        if self.on_result is not None:
-            self.on_result(index, value)
-
-    def done(self) -> bool:
-        return len(self.results) == len(self.tasks)
+        self.units: dict[int, _Unit] = {}
+        self.started: list[tuple[int, float]] = []
+        self.frames: list[tuple[int, bytes, bool]] = []
+        self.lost: list[int] = []
+        self.arrived = threading.Event()
 
 
 class FleetCoordinator:
@@ -306,10 +264,10 @@ class FleetCoordinator:
 
     One instance serves every concurrent batch of its process; the
     HTTP front end (:class:`_FleetHandler`) and the submitting threads
-    (:class:`RemoteWorkerTransport`) both call straight into it.  All
-    state is guarded by one lock; frame *processing* (unpickling
-    results, retry decisions, digest comparison) happens in the
-    submitting thread via :meth:`pump`, never in HTTP handler threads.
+    (the remote carrier) both call straight into it.  All state is
+    guarded by one lock.  Frames are only integrity-checked here (for
+    the breaker); unpickling them and every retry decision happen in
+    the submitting thread.
     """
 
     def __init__(self, config: FleetConfig | None = None):
@@ -338,7 +296,7 @@ class FleetCoordinator:
             }
         with self._lock:
             known = worker_id in self._workers
-            self._workers[worker_id] = _Worker(worker_id, fingerprint, self.config)
+            self._workers[worker_id] = _Worker(worker_id, self.config)
         if not known:
             reg.increment("engine.remote_workers_registered")
         return 200, {
@@ -347,77 +305,94 @@ class FleetCoordinator:
             "lease": self.config.lease_seconds,
         }
 
+    def _seen(self, worker_id: str, now: float) -> _Worker | None:
+        """Mark a registered worker alive as of ``now``."""
+        worker = self._workers.get(worker_id)
+        if worker is not None:
+            worker.last_seen = now
+            worker.alive = True
+        return worker
+
+    def _lose_leases(self, worker: _Worker, now: float, metric: str) -> None:
+        for unit_id in list(worker.leases):
+            unit = self._units.get(unit_id)
+            if unit is not None and unit.lease_worker == worker.worker_id:
+                self._lose(unit, now, metric)
+        worker.leases.clear()
+
     def heartbeat(self, worker_id: str):
         """Renew the worker's liveness and every renewable lease it holds."""
         now = time.monotonic()
         with self._lock:
-            worker = self._workers.get(worker_id)
+            worker = self._seen(worker_id, now)
             if worker is None:
                 return 410, {"error": f"unknown worker {worker_id!r}"}
-            worker.last_seen = now
-            worker.alive = True
             for unit_id in worker.leases:
                 unit = self._units.get(unit_id)
                 if unit is not None and not unit.no_renew:
-                    unit.lease_deadline = now + self._lease_span(unit, now)
+                    unit.lease_deadline = now + self.config.lease_seconds
             return 200, {"ok": True, "leases": len(worker.leases)}
 
     def grant(self, worker_id: str):
         """Lease the next pending unit to ``worker_id`` (pull model)."""
         now = time.monotonic()
         with self._lock:
-            worker = self._workers.get(worker_id)
+            worker = self._seen(worker_id, now)
             if worker is None:
                 return 410, {"error": f"unknown worker {worker_id!r}"}
-            worker.last_seen = now
-            worker.alive = True
-            if not worker.breaker.allow(now):
+            # A worker runs one unit at a time, so a lease it still holds
+            # when it asks for the next is a result that never arrived.
+            self._lose_leases(worker, now, "engine.remote_results_lost")
+            if not worker.breaker.allow(now) or not self._pending:
                 return 200, {"unit": None, "backoff": self.config.heartbeat}
-            while self._pending:
-                unit = self._pending.popleft()
-                if unit.done or unit.local or unit.batch.aborted:
-                    continue
-                span = self._lease_span(unit, now)
-                unit.lease_worker = worker_id
-                unit.lease_deadline = now + span
-                unit.no_renew = False
-                # Chaos hook: force this lease to expire despite a
-                # healthy, heartbeating worker.
-                if faults.should_fire("lease_expiry", task_index=unit.index):
-                    unit.no_renew = True
-                    unit.lease_deadline = now + min(0.2, span)
-                worker.leases.add(unit.unit_id)
-                if worker.breaker.state == "half-open":
-                    worker.breaker.probe_inflight = True
-                get_registry().increment("engine.remote_units_granted")
-                return 200, {
-                    "unit": {
-                        "id": unit.unit_id,
-                        "payload": base64.b64encode(unit.payload).decode("ascii"),
-                        "lease": span,
-                    }
+            unit = self._pending.popleft()
+            span = self.config.lease_seconds
+            unit.lease_worker = worker_id
+            unit.lease_deadline = now + span
+            unit.no_renew = False
+            # Chaos hook: force this lease to expire despite a healthy,
+            # heartbeating worker.
+            if faults.should_fire("lease_expiry", task_index=unit.index):
+                unit.no_renew = True
+                unit.lease_deadline = now + min(0.2, span)
+            worker.leases.add(unit.unit_id)
+            unit.batch.started.append((unit.index, now))
+            unit.batch.arrived.set()
+            if worker.breaker.state == "half-open":
+                worker.breaker.probe_inflight = True
+            get_registry().increment("engine.remote_units_granted")
+            return 200, {
+                "unit": {
+                    "id": unit.unit_id,
+                    "payload": base64.b64encode(unit.payload).decode("ascii"),
+                    "lease": span,
                 }
-            return 200, {"unit": None}
+            }
 
     def deliver(self, worker_id: str, unit_id: str, frame: bytes):
-        """Accept a result frame; it is processed later by :meth:`pump`."""
+        """Accept a result frame for the submitting thread to decode."""
         now = time.monotonic()
         with self._lock:
-            worker = self._workers.get(worker_id)
+            worker = self._seen(worker_id, now)
             if worker is None:
                 return 410, {"error": f"unknown worker {worker_id!r}"}
-            worker.last_seen = now
-            worker.alive = True
             worker.leases.discard(unit_id)
             unit = self._units.get(unit_id)
             if unit is None:
-                # A straggler of an already-finished (or aborted) batch.
+                # A straggler of an already-finished batch.
                 get_registry().increment("engine.remote_orphan_results")
                 return 200, {"accepted": False}
-            if unit.lease_worker == worker_id:
+            if unseal_payload(frame) is None:
+                get_registry().increment("engine.remote_corrupt_frames")
+                worker.breaker.record_failure(now)
+            else:
+                worker.breaker.record_success()
+            current = unit.lease_worker == worker_id
+            if current:
                 unit.lease_worker = None
                 unit.lease_deadline = None
-            unit.inbox.append((worker_id, frame))
+            unit.batch.frames.append((unit.index, frame, current))
+            unit.batch.arrived.set()
             return 200, {"accepted": True}
 
     def status_snapshot(self) -> dict:
@@ -437,62 +412,69 @@ class FleetCoordinator:
 
     # -- parent-facing API (submitting threads) -----------------------------
 
-    def submit_batch(self, fn, tasks, policy, on_result, scope, workers) -> _Batch:
-        """Seal each ``(fn, index, task)`` into a content-addressed unit."""
-        reg = get_registry()
-        batch_id = f"b{next(self._batch_seq)}-{os.urandom(4).hex()}"
-        batch = _Batch(batch_id, fn, list(tasks), policy, on_result, scope, workers)
+    def open_batch(self) -> _Batch:
+        return _Batch(f"b{next(self._batch_seq)}-{os.urandom(4).hex()}")
+
+    def enqueue(self, batch: _Batch, index: int, payload: bytes) -> None:
+        """Queue one sealed unit for leasing; a re-dispatch goes first."""
         with self._lock:
-            for index, task in enumerate(batch.tasks):
-                try:
-                    payload = seal_payload(
-                        pickle.dumps(
-                            (fn, index, task), protocol=pickle.HIGHEST_PROTOCOL
-                        )
-                    )
-                except Exception:
-                    # The unit does not pickle: it runs in-parent, like
-                    # every other transport's pickle fallback.
-                    reg.increment("engine.pickle_fallback")
-                    payload = None
-                content = (
-                    "local" if payload is None
-                    else hashlib.sha256(payload).hexdigest()[:16]
-                )
-                unit = _Unit(f"{batch_id}-{index:06d}-{content}", batch, index, payload)
-                batch.units.append(unit)
+            unit = batch.units.get(index)
+            if unit is None:
+                content = hashlib.sha256(payload).hexdigest()[:16]
+                unit_id = f"{batch.batch_id}-{index:06d}-{content}"
+                unit = _Unit(unit_id, batch, index, payload)
+                batch.units[index] = unit
                 self._units[unit.unit_id] = unit
-                if not unit.local:
-                    self._pending.append(unit)
-        return batch
+                self._pending.append(unit)
+            else:
+                get_registry().increment("engine.remote_redispatched")
+                self._pending.appendleft(unit)
 
-    def _lease_span(self, unit: _Unit, now: float) -> float:
-        """Lease length for ``unit``, clamped to its batch's deadline."""
-        span = self.config.lease_seconds
-        if unit.batch.policy.task_timeout is not None:
-            span = min(span, unit.batch.policy.task_timeout)
-        remaining = unit.batch.scope.remaining()
-        if remaining is not None:
-            span = min(span, max(0.05, remaining))
-        return span
+    def collect(self, batch: _Batch) -> tuple[list, list, list[int]]:
+        """Take the grants, frames and lost deliveries recorded so far."""
+        with self._lock:
+            batch.arrived.clear()
+            news = batch.started, batch.frames, batch.lost
+            batch.started, batch.frames, batch.lost = [], [], []
+            return news
 
-    def _expire_unit(self, unit: _Unit, now: float, metric: str) -> None:
-        """Release an expired lease and queue the unit for re-dispatch."""
-        reg = get_registry()
+    def expire(self, batch: _Batch, indices) -> None:
+        """Abandon units: release their leases, withdraw them from the queue."""
+        with self._lock:
+            for index in indices:
+                unit = batch.units[index]
+                self._release(unit)
+                if unit in self._pending:
+                    self._pending.remove(unit)
+            # What already came back for them is a straggler's now.
+            batch.started = [s for s in batch.started if s[0] not in indices]
+            batch.frames = [(i, f, c and i not in indices) for i, f, c in batch.frames]
+            batch.lost = [i for i in batch.lost if i not in indices]
+
+    def finish_batch(self, batch: _Batch) -> None:
+        """Drop a batch's units from every table."""
+        with self._lock:
+            for unit in batch.units.values():
+                self._release(unit)
+                self._units.pop(unit.unit_id, None)
+            self._pending = deque(u for u in self._pending if u.batch is not batch)
+
+    def _release(self, unit: _Unit) -> _Worker | None:
         worker = self._workers.get(unit.lease_worker or "")
         if worker is not None:
             worker.leases.discard(unit.unit_id)
-            worker.breaker.record_failure(now)
         unit.lease_worker = None
         unit.lease_deadline = None
-        reg.increment(metric)
-        unit.redispatches += 1
-        if unit.redispatches > self.config.max_redispatch:
-            # The unit keeps bouncing: guarantee progress in-parent.
-            unit.local = True
-        else:
-            reg.increment("engine.remote_redispatched")
-            self._pending.appendleft(unit)
+        return worker
+
+    def _lose(self, unit: _Unit, now: float, metric: str) -> None:
+        """A lease ran out: the delivery is lost and the holder suspect."""
+        worker = self._release(unit)
+        if worker is not None:
+            worker.breaker.record_failure(now)
+        get_registry().increment(metric)
+        unit.batch.lost.append(unit.index)
+        unit.batch.arrived.set()
 
     def tick(self) -> None:
         """Advance failure detection: lost workers, expired leases."""
@@ -502,107 +484,10 @@ class FleetCoordinator:
                 if worker.alive and now - worker.last_seen > self.config.lease_seconds:
                     worker.alive = False
                     get_registry().increment("engine.remote_workers_lost")
-                    for unit_id in list(worker.leases):
-                        unit = self._units.get(unit_id)
-                        if unit is not None and not unit.done:
-                            self._expire_unit(unit, now, "engine.remote_heartbeat_missed")
-                    worker.leases.clear()
+                    self._lose_leases(worker, now, "engine.remote_heartbeat_missed")
             for unit in list(self._units.values()):
-                if (
-                    not unit.done
-                    and unit.lease_deadline is not None
-                    and now >= unit.lease_deadline
-                ):
-                    self._expire_unit(unit, now, "engine.remote_lease_expired")
-
-    def pump(self, batch: _Batch) -> list[tuple[int, object]]:
-        """Process delivered frames for ``batch``; return completions.
-
-        Runs in the submitting thread.  Handles the whole result state
-        machine: first-wins completion, task-error retries, unpicklable
-        degradation, and the straggler digest race.
-        """
-        reg = get_registry()
-        now = time.monotonic()
-        completions: list[tuple[int, object]] = []
-        with self._lock:
-            for unit in batch.units:
-                while unit.inbox:
-                    worker_id, frame = unit.inbox.pop(0)
-                    worker = self._workers.get(worker_id)
-                    payload = unseal_payload(frame)
-                    if payload is None:
-                        reg.increment("engine.remote_corrupt_frames")
-                        if worker is not None:
-                            worker.breaker.record_failure(now)
-                        if not unit.done and not unit.local:
-                            self._pending.appendleft(unit)
-                        continue
-                    digest = hashlib.sha256(payload).hexdigest()
-                    try:
-                        status, value = pickle.loads(payload)
-                    except Exception:
-                        reg.increment("engine.remote_corrupt_frames")
-                        if not unit.done and not unit.local:
-                            self._pending.appendleft(unit)
-                        continue
-                    if unit.done:
-                        # The straggler race: a late result for a unit a
-                        # replacement already finished.  Bit-identity
-                        # means the digests must agree.
-                        if status == "ok":
-                            if digest == unit.digest:
-                                reg.increment("engine.remote_digest_agreements")
-                            else:
-                                reg.increment("engine.remote_digest_divergence")
-                                if batch.failure is None:
-                                    batch.failure = TransportError(
-                                        f"unit {unit.unit_id} produced two "
-                                        "divergent results "
-                                        f"({unit.digest[:12]}… vs {digest[:12]}…): "
-                                        "the same-seed rerun contract is broken"
-                                    )
-                        continue
-                    if status == "ok":
-                        unit.done = True
-                        unit.digest = digest
-                        unit.value = value
-                        if worker is not None:
-                            worker.breaker.record_success()
-                        completions.append((unit.index, value))
-                    elif status == "unpicklable":
-                        reg.increment("engine.pickle_fallback")
-                        unit.local = True
-                        if worker is not None:
-                            worker.breaker.record_success()
-                    else:  # "err" (a pickled exception) or "err_str"
-                        exc = (
-                            value
-                            if isinstance(value, BaseException)
-                            else TransportError(str(value))
-                        )
-                        if worker is not None:
-                            # The worker delivered; the *task* failed.
-                            worker.breaker.record_success()
-                        unit.attempts += 1
-                        if unit.attempts > batch.policy.max_retries:
-                            if batch.failure is None:
-                                batch.failure = exc
-                        else:
-                            reg.increment("engine.retries")
-                            self._pending.appendleft(unit)
-        return completions
-
-    def take_local(self, batch: _Batch) -> list[_Unit]:
-        """Units flagged for in-parent execution, claimed exactly once."""
-        with self._lock:
-            out = [
-                u for u in batch.units
-                if u.local and not u.done and u.index not in batch.results
-            ]
-            for unit in out:
-                unit.done = True  # claimed; the caller records the value
-            return out
+                if unit.lease_deadline is not None and now >= unit.lease_deadline:
+                    self._lose(unit, now, "engine.remote_lease_expired")
 
     def healthy_count(self) -> int:
         now = time.monotonic()
@@ -611,34 +496,6 @@ class FleetCoordinator:
                 1
                 for w in self._workers.values()
                 if w.alive and w.breaker.allow(now)
-            )
-
-    def abort_batch(self, batch: _Batch) -> list[int]:
-        """Withdraw a batch's unfinished units; returns their indexes."""
-        with self._lock:
-            batch.aborted = True
-            remaining = []
-            for unit in batch.units:
-                if unit.index not in batch.results:
-                    remaining.append(unit.index)
-                if unit.lease_worker is not None:
-                    worker = self._workers.get(unit.lease_worker)
-                    if worker is not None:
-                        worker.leases.discard(unit.unit_id)
-                    unit.lease_worker = None
-                    unit.lease_deadline = None
-            self._pending = deque(
-                u for u in self._pending if u.batch is not batch
-            )
-            return sorted(remaining)
-
-    def finish_batch(self, batch: _Batch) -> None:
-        """Drop a batch's units from the tables (collect() is done)."""
-        with self._lock:
-            for unit in batch.units:
-                self._units.pop(unit.unit_id, None)
-            self._pending = deque(
-                u for u in self._pending if u.batch is not batch
             )
 
 
@@ -786,16 +643,6 @@ def start_coordinator(
         return coordinator, _URL
 
 
-def get_coordinator() -> FleetCoordinator | None:
-    """The running coordinator, or ``None``."""
-    return _COORDINATOR
-
-
-def coordinator_url() -> str | None:
-    """The running coordinator's base URL, or ``None``."""
-    return _URL
-
-
 def shutdown_fleet() -> None:
     """Stop the coordinator and reap any auto-spawned workers."""
     global _COORDINATOR, _HTTPD, _URL
@@ -806,8 +653,7 @@ def shutdown_fleet() -> None:
         httpd.shutdown()
         httpd.server_close()
     for proc in spawned:
-        if proc.poll() is None:
-            proc.terminate()
+        proc.terminate()  # a no-op on a worker that already exited
     for proc in spawned:
         try:
             proc.wait(timeout=5)
@@ -816,16 +662,8 @@ def shutdown_fleet() -> None:
             proc.wait()
 
 
-def _worker_env() -> dict[str, str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    return env
-
-
 def _maintain_spawned(url: str, config: FleetConfig) -> None:
     """Keep ``config.spawn`` local worker processes attached to ``url``."""
-    if config.spawn <= 0:
-        return
     with _FLEET_LOCK:
         _SPAWNED[:] = [p for p in _SPAWNED if p.poll() is None]
         while len(_SPAWNED) < config.spawn:
@@ -836,7 +674,7 @@ def _maintain_spawned(url: str, config: FleetConfig) -> None:
                         "--coordinator", url,
                         "--poll", f"{max(0.02, config.heartbeat / 2):g}",
                     ],
-                    env=_worker_env(),
+                    env=worker_env(),
                     stdout=subprocess.DEVNULL,
                 )
             )
@@ -848,6 +686,90 @@ def _maintain_spawned(url: str, config: FleetConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
+class _RemoteCarrier(Carrier):
+    """Units leased to the fleet through the process-wide coordinator.
+
+    A unit starts (and its deadline runs) when a worker is granted its
+    lease; abandoning a unit expires the lease.  With no
+    healthy worker for ``connect_wait`` seconds the batch moves to a
+    :class:`~repro.engine.transport.PoolCarrier`
+    (``engine.remote_degraded``), and the units in flight are
+    re-dispatched there.
+    """
+
+    starts_on_dispatch = False
+
+    def __init__(self, workers, coordinator=None):
+        super().__init__(workers)
+        if coordinator is None:
+            coordinator, url = start_coordinator()
+            _maintain_spawned(url, coordinator.config)
+        self.coordinator = coordinator
+        self.batch = coordinator.open_batch()
+        self.fallback: Carrier | None = None
+        self.last_healthy = time.monotonic()
+
+    def capacity(self):
+        # Deadlines run from the grant, so queued units cost nothing:
+        # the whole batch waits at the coordinator for idle workers.
+        return self.workers if self.fallback is not None else sys.maxsize
+
+    def dispatch(self, index, fn, task):
+        if self.fallback is not None:
+            return self.fallback.dispatch(index, fn, task)
+        payload = encode_unit(fn, index, task)
+        if payload is not None:
+            self.coordinator.enqueue(self.batch, index, payload)
+        return payload is not None
+
+    def wait(self, timeout):
+        if self.fallback is not None:
+            return self.fallback.wait(timeout)
+        end = None if timeout is None else time.monotonic() + timeout
+        while True:
+            started, frames, lost = self.coordinator.collect(self.batch)
+            outcomes = [(index, "started", at, None) for index, at in started]
+            for index, frame, current in frames:
+                kind, value, digest = decode_frame(frame, index)
+                # A straggler's failure says nothing about its replacement;
+                # its answer makes a replacement still queued or leased moot.
+                if kind == "ok" and not current:
+                    self.coordinator.expire(self.batch, [index])
+                if current or kind == "ok":
+                    outcomes.append((index, kind, value, digest))
+            outcomes += [
+                (i, "lost", TransportError(f"task {i} lost its lease"), None)
+                for i in lost
+            ]
+            now = time.monotonic()
+            # Return at ``end`` before ticking: a unit's deadline and its
+            # lease both run from the grant, so an overrun is reported as
+            # a timeout whenever the deadline is the shorter.
+            if outcomes or (end is not None and now >= end):
+                return outcomes
+            if self.coordinator.healthy_count():
+                self.last_healthy = now
+            elif now - self.last_healthy >= self.coordinator.config.connect_wait:
+                get_registry().increment("engine.remote_degraded")
+                self.coordinator.finish_batch(self.batch)
+                self.fallback = PoolCarrier(self.workers)
+                return [(i, "requeue", None, None) for i in self.batch.units]
+            self.coordinator.tick()
+            wake = _TICK_SECONDS if end is None else min(_TICK_SECONDS, end - now)
+            self.batch.arrived.wait(wake)
+
+    def abandon(self, indices):
+        if self.fallback is not None:
+            self.fallback.abandon(indices)
+        else:
+            self.coordinator.expire(self.batch, indices)
+
+    def close(self):
+        if self.fallback is not None:
+            self.fallback.close()
+        self.coordinator.finish_batch(self.batch)
+
+
 class RemoteWorkerTransport(Transport):
     """Ship task units to the registered worker fleet under leases.
 
@@ -855,85 +777,12 @@ class RemoteWorkerTransport(Transport):
     :func:`repro.engine.transport.get_transport`); selected like any
     other transport — ``run_tasks(transport="remote")``,
     ``parallel(transport="remote")`` or ``$REPRO_TRANSPORT=remote`` —
-    so manifests record it automatically and the degradation chain
-    remote → pool → inline rides the existing selection seam.
+    so manifests record it automatically.
     """
 
     name = "remote"
     isolates_tasks = True
-    supports_fault_injection = True
-    fresh_process_per_task = False
-
-    def submit_chunks(self, fn, tasks, *, workers=1, policy=None, on_result=None):
-        tasks = list(tasks)
-        if policy is None:
-            policy = resolve_policy()
-        scope = current_scope()
-
-        def _run() -> list:
-            if not tasks:
-                return []
-            coordinator, url = start_coordinator()
-            _maintain_spawned(url, coordinator.config)
-            batch = coordinator.submit_batch(
-                fn, tasks, policy, on_result, scope, workers
-            )
-            try:
-                return self._collect(coordinator, batch, scope)
-            finally:
-                coordinator.finish_batch(batch)
-
-        return PendingBatch(self.name, len(tasks), _run)
-
-    def _collect(self, coordinator: FleetCoordinator, batch: _Batch, scope) -> list:
-        reg = get_registry()
-        config = coordinator.config
-        last_healthy = time.monotonic()
-        while True:
-            try:
-                scope.raise_if_cancelled()
-            except JobCancelledError:
-                coordinator.abort_batch(batch)
-                raise
-            coordinator.tick()
-            for index, value in coordinator.pump(batch):
-                batch.record(index, value)
-            if batch.failure is not None:
-                coordinator.abort_batch(batch)
-                raise batch.failure
-            for unit in coordinator.take_local(batch):
-                reg.increment("engine.remote_local_units")
-                batch.record(unit.index, batch.fn(batch.tasks[unit.index]))
-            if batch.done():
-                return [batch.results[i] for i in range(len(batch.tasks))]
-            now = time.monotonic()
-            if coordinator.healthy_count() > 0:
-                last_healthy = now
-            elif now - last_healthy >= config.connect_wait:
-                return self._degrade(coordinator, batch)
-            time.sleep(_TICK_SECONDS)
-
-    def _degrade(self, coordinator: FleetCoordinator, batch: _Batch) -> list:
-        """No healthy workers: finish on the supervised pool transport.
-
-        The pool itself degrades to sequential in-parent execution when
-        it keeps dying, so the full chain is remote → pool → inline —
-        every rung bit-identical because the task units and their seeds
-        are unchanged.
-        """
-        from repro.engine.transport import get_transport
-
-        get_registry().increment("engine.remote_degraded")
-        remaining = coordinator.abort_batch(batch)
-        if remaining:
-            get_transport("pool").run(
-                batch.fn,
-                [batch.tasks[i] for i in remaining],
-                workers=max(1, min(batch.workers, len(remaining))),
-                policy=batch.policy,
-                on_result=lambda j, value: batch.record(remaining[j], value),
-            )
-        return [batch.results[i] for i in range(len(batch.tasks))]
+    carrier = _RemoteCarrier
 
 
 # ---------------------------------------------------------------------------
@@ -978,6 +827,11 @@ class _WorkerState:
     def suppressed(self) -> bool:
         return time.monotonic() < self.suppress_until
 
+    def go_dark(self, seconds: float) -> None:
+        """Send nothing for ``seconds`` — no beats, no leases, no results."""
+        self.suppress_until = max(self.suppress_until, time.monotonic() + seconds)
+        time.sleep(seconds)
+
 
 def _heartbeat_loop(
     client: _CoordinatorClient, worker_id: str, interval: float, state: _WorkerState
@@ -989,60 +843,6 @@ def _heartbeat_loop(
             client.post("/v1/fleet/heartbeat", {"worker": worker_id})
         except (urllib.error.URLError, ConnectionError, OSError):
             pass  # the lease loop owns giving up; a beat is best-effort
-
-
-def _execute_unit(payload: bytes, state: _WorkerState | None = None) -> tuple[bytes, int]:
-    """Run one unsealed unit; returns ``(sealed frame, index)``.
-
-    Mirrors :mod:`repro.engine.worker` frame-for-frame: the reply is a
-    sealed pickle of ``("ok", value)`` / ``("err", exc)`` /
-    ``("err_str", traceback)`` / ``("unpicklable", message)``, and the
-    task runs through the fault-injection shim so ``worker_crash``,
-    ``task_timeout`` and ``task_error`` plans reach this transport
-    unchanged.
-    """
-    import traceback
-
-    try:
-        fn, index, task = pickle.loads(payload)
-    except BaseException as exc:  # the unit names something we cannot import
-        body = pickle.dumps(
-            ("err_str", f"worker cannot deserialize unit: "
-             f"{type(exc).__name__}: {exc}"),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        return seal_payload(body), None
-    # Chaos hook: the worker keeps computing this unit but its
-    # heartbeats go dark for ``sleep`` seconds — modeled as a stalled
-    # beat thread plus an equally long compute, so the coordinator must
-    # expire the lease and re-dispatch while the answer is still coming.
-    spec = faults.should_fire("heartbeat_loss", task_index=index)
-    if spec is not None and state is not None:
-        state.suppress_until = max(
-            state.suppress_until, time.monotonic() + spec.sleep
-        )
-        time.sleep(spec.sleep)
-    try:
-        value = _invoke(fn, index, task)
-    except BaseException as exc:  # noqa: BLE001 - errors ride the channel
-        try:
-            body = pickle.dumps(("err", exc), protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            body = pickle.dumps(
-                ("err_str",
-                 "".join(traceback.format_exception(type(exc), exc,
-                                                    exc.__traceback__))),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-    else:
-        try:
-            body = pickle.dumps(("ok", value), protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            body = pickle.dumps(
-                ("unpicklable", f"{type(exc).__name__}: {exc}"),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-    return seal_payload(body), index
 
 
 def run_worker(
@@ -1058,13 +858,7 @@ def run_worker(
     coordinator stays unreachable for ``grace`` seconds, and 2 when
     registration is refused (bad token or environment mismatch).
     """
-    if token is None:
-        token = (
-            os.environ.get("REPRO_REMOTE_TOKEN")
-            or os.environ.get("REPRO_SERVE_TOKEN")
-            or None
-        )
-    client = _CoordinatorClient(coordinator, token)
+    client = _CoordinatorClient(coordinator, token or _fleet_token())
     worker_id = f"{socket.gethostname()}-{os.getpid()}-{os.urandom(3).hex()}"
     state = _WorkerState()
 
@@ -1108,6 +902,15 @@ def run_worker(
     beat.start()
     print(f"worker {worker_id}: registered with {coordinator}", flush=True)
 
+    def on_start(index: int) -> None:
+        # Chaos hook: the worker keeps computing this unit but its
+        # heartbeats go dark for ``sleep`` seconds — a stalled beat
+        # thread plus an equally long compute, so the coordinator must
+        # expire the lease while the answer is still coming.
+        spec = faults.should_fire("heartbeat_loss", task_index=index)
+        if spec is not None:
+            state.go_dark(spec.sleep)
+
     executed = 0
     last_contact = time.monotonic()
     try:
@@ -1142,44 +945,23 @@ def run_worker(
             if not unit:
                 time.sleep(poll)
                 continue
-            payload = unseal_payload(base64.b64decode(unit.get("payload", "")))
-            if payload is None:
-                # A torn unit must be reported, never deserialized.
-                frame = seal_payload(pickle.dumps(
-                    ("err_str", "task unit failed its integrity check"),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                ))
-                index = None
-            else:
-                frame, index = _execute_unit(payload, state)
+            frame, index = execute_unit(
+                base64.b64decode(unit.get("payload", "")), on_start
+            )
             # Chaos hook: deliver late, fully partitioned in between —
             # no heartbeats, no result — so the lease expires and the
             # re-dispatched replacement races this straggler.
-            spec = (
-                faults.should_fire("worker_partition", task_index=index)
-                if index is not None
-                else None
-            )
+            spec = faults.should_fire("worker_partition", task_index=index)
             if spec is not None:
-                state.suppress_until = max(
-                    state.suppress_until, time.monotonic() + spec.sleep
-                )
-                time.sleep(spec.sleep)
-            for attempt in range(3):
-                try:
-                    client.post(
-                        "/v1/fleet/result",
-                        {
-                            "worker": worker_id,
-                            "unit": unit.get("id"),
-                            "frame": base64.b64encode(frame).decode("ascii"),
-                        },
-                    )
-                    break
-                except (urllib.error.URLError, ConnectionError, OSError):
-                    # Undeliverable results are the coordinator's
-                    # problem: the lease expires and the unit re-runs.
-                    time.sleep(min(0.2 * (attempt + 1), 1.0))
+                state.go_dark(spec.sleep)
+            try:
+                client.post("/v1/fleet/result", {
+                    "worker": worker_id,
+                    "unit": unit.get("id"),
+                    "frame": base64.b64encode(frame).decode("ascii"),
+                })
+            except (urllib.error.URLError, ConnectionError, OSError):
+                pass  # the next lease request reports this unit lost
             executed += 1
             if max_units is not None and executed >= max_units:
                 return 0

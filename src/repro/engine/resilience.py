@@ -1,16 +1,12 @@
-"""Fault-tolerant execution: supervised pools, retries, checkpoints.
+"""Fault-tolerant execution: the task-unit lifecycle and checkpoints.
 
-The executor's original parallel path was one ``pool.map`` — a single
-crashed worker, one hung task, or one unpicklable payload killed the
-whole batch.  This module supplies the supervised replacement used by
-:func:`repro.engine.executor.run_tasks`:
-
-* **Supervised submit/collect loop** (:func:`supervised_map`): bounded
-  in-flight submission (one task per worker, so per-task deadlines
-  measure *run* time, not queue time), per-task timeout, bounded retry
-  with exponential backoff, ``BrokenProcessPool`` recovery (terminate,
-  rebuild, resubmit only unfinished work), and last-resort degradation
-  to in-parent sequential execution when the pool keeps dying.
+* **The task-unit lifecycle** (:func:`run_units`): one event-driven
+  state machine decides, for every transport that isolates tasks, how
+  many times a unit is attempted, how long it may run, what each kind
+  of failure costs, when to back off, when to give up, and which of two
+  duplicate answers wins.  A transport supplies only a :class:`Carrier`
+  — dispatch a unit, wait for outcomes, abandon a unit — with no retry
+  logic of its own.
 * **Checkpoint store** (:class:`CheckpointStore`): per-task partial
   results persisted under ``$REPRO_CHECKPOINT_DIR`` keyed by the same
   content hash as the result cache, so an interrupted ensemble resumes
@@ -20,7 +16,7 @@ whole batch.  This module supplies the supervised replacement used by
 Determinism is preserved by construction: a retried task re-runs the
 *same* ``(fn, task)`` pair — seeds were spawned per task up front — and
 results are always returned (and reduced by callers) in task order, so
-a batch that survived a crash, a timeout, and a pool rebuild is
+a batch that survived a crash, a timeout, and a re-dispatch is
 bit-identical to an undisturbed sequential run.
 
 Policy knobs resolve, in order: explicit ``parallel(...)`` arguments,
@@ -38,20 +34,20 @@ import time
 import warnings
 from collections import deque
 from collections.abc import Callable, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.engine import faults
 from repro.engine.cancellation import current_scope
 from repro.engine.metrics import get_registry
-from repro.errors import TaskTimeoutError
+from repro.errors import TaskTimeoutError, TransportError
 
 __all__ = [
     "ResiliencePolicy",
     "resolve_policy",
-    "supervised_map",
+    "env_number",
+    "Carrier",
+    "run_units",
     "CheckpointStore",
     "configure_checkpoints",
     "get_checkpoint_store",
@@ -60,30 +56,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """How the supervised loop reacts to failing tasks and pools.
+    """How :func:`run_units` reacts to failing task units.
 
     Attributes
     ----------
     task_timeout:
-        Per-task wall-clock deadline in seconds (``None`` = no limit).
-        Measured from submission; the loop keeps at most one task per
-        worker in flight, so queueing time is not charged to the task.
+        Per-unit wall-clock deadline in seconds (``None`` = no limit).
+        Measured from when the unit starts: its dispatch (at most one
+        unit per worker is in flight) or, on the fleet, its lease
+        grant — queueing time is never charged to the unit.
     max_retries:
-        How many times one task may be retried after a failure or a
-        timeout before the batch gives up on it.
+        How many times one unit may be re-run after a failure of any
+        kind (task error, lost delivery, deadline overrun) before the
+        batch gives up on it.
     backoff_base / backoff_cap:
-        Exponential-backoff sleep before retry ``k`` is
-        ``min(cap, base * 2**(k-1))``; base 0 disables the sleep.
-    max_pool_rebuilds:
-        How many times a broken/wedged pool is rebuilt before the
-        remaining tasks degrade to sequential in-parent execution.
+        Exponential backoff before retry ``k`` is
+        ``min(cap, base * 2**(k-1))`` seconds; base 0 disables it.
     """
 
     task_timeout: float | None = None
     max_retries: int = 2
     backoff_base: float = 0.05
     backoff_cap: float = 2.0
-    max_pool_rebuilds: int = 3
 
     def __post_init__(self):
         if self.task_timeout is not None and self.task_timeout <= 0:
@@ -92,7 +86,9 @@ class ResiliencePolicy:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
-def _env_number(name: str, default, convert):
+def env_number(name: str, default, convert):
+    """``convert($name)``; unset or empty gives ``default``, and a
+    malformed value warns and gives ``default`` too."""
     raw = os.environ.get(name)
     if raw is None or raw == "":
         return default
@@ -113,14 +109,12 @@ def resolve_policy(
 ) -> ResiliencePolicy:
     """Build the effective policy from arguments, environment, defaults."""
     if task_timeout is None:
-        task_timeout = _env_number("REPRO_TASK_TIMEOUT", None, float)
+        task_timeout = env_number("REPRO_TASK_TIMEOUT", None, float)
         if task_timeout is not None and task_timeout <= 0:
             task_timeout = None
     if max_retries is None:
-        max_retries = _env_number("REPRO_MAX_RETRIES", 2, int)
-        if max_retries < 0:
-            max_retries = 0
-    backoff = _env_number("REPRO_RETRY_BACKOFF", 0.05, float)
+        max_retries = max(0, env_number("REPRO_MAX_RETRIES", 2, int))
+    backoff = env_number("REPRO_RETRY_BACKOFF", 0.05, float)
     return ResiliencePolicy(
         task_timeout=task_timeout,
         max_retries=max_retries,
@@ -129,8 +123,12 @@ def resolve_policy(
 
 
 # ---------------------------------------------------------------------------
-# The supervised loop
+# The task-unit lifecycle
 # ---------------------------------------------------------------------------
+
+#: How often a wait re-checks a live cancel scope.
+_CANCEL_POLL_SECONDS = 0.1
+
 
 def _invoke(fn: Callable, index: int, task):
     """Worker-side shim: enact planned faults, then run the task."""
@@ -146,178 +144,218 @@ def _invoke(fn: Callable, index: int, task):
     return fn(task)
 
 
-def _is_pickle_error(exc: BaseException) -> bool:
-    if isinstance(exc, pickle.PicklingError):
-        return True
-    return isinstance(exc, (TypeError, AttributeError)) and "pickle" in str(exc).lower()
+class Carrier:
+    """How one transport moves task units; it never retries anything.
 
+    :func:`run_units` builds one per batch as ``carrier(workers)`` and
+    drives it through four calls:
 
-def _terminate(pool: ProcessPoolExecutor) -> None:
-    """Abandon a pool without waiting for wedged or dying workers."""
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:
+    ``dispatch(index, fn, task) -> bool``
+        Start one unit.  ``False`` means the unit cannot travel (it does
+        not pickle); the parent then runs it itself.
+    ``wait(timeout) -> list of (index, kind, value, digest)``
+        Block up to ``timeout`` seconds (``None``: until something
+        happens) for outcomes.  ``kind`` is ``"ok"`` (``value`` is the
+        result, ``digest`` the result frame's SHA-256 or ``None``),
+        ``"err"`` (the task raised ``value``), ``"lost"`` (the delivery
+        failed — the worker died, the frame was corrupt, the lease was
+        lost; ``value`` is a :class:`~repro.errors.TransportError`),
+        ``"unpicklable"`` (the result cannot travel back),
+        ``"requeue"`` (the unit was dropped through no fault of its
+        own and is re-dispatched free of charge) or ``"started"``
+        (``value`` is the monotonic time the unit began running).
+    ``abandon(indices)``
+        Stop units the parent gave up on, leaving nothing running.
+    ``close()``
+        End the batch; whatever is still running is abandoned.
+    """
+
+    #: What a unit whose deliveries keep failing costs once its retries
+    #: are spent: ``"degrade"`` runs it in the parent, ``"raise"``
+    #: propagates its :class:`~repro.errors.TransportError`.
+    exhausted_delivery = "degrade"
+    #: After this many ``wait()`` rounds that lost a delivery, the rest
+    #: of the batch runs in the parent (``None``: no such limit).
+    max_lost_rounds: int | None = None
+    #: ``True``: a unit's deadline runs from its dispatch; ``False``: from
+    #: the ``"started"`` outcome the carrier reports for it.
+    starts_on_dispatch = True
+
+    def __init__(self, workers: int):
+        self.workers = workers
+
+    def capacity(self) -> int:
+        """How many units may be in flight at once."""
+        return self.workers
+
+    def dispatch(self, index: int, fn: Callable, task) -> bool:
+        raise NotImplementedError
+
+    def wait(self, timeout: float | None) -> list[tuple]:
+        raise NotImplementedError
+
+    def abandon(self, indices: Sequence[int]) -> None:
+        raise NotImplementedError
+
+    def close(self) -> None:
         pass
-    for proc in (getattr(pool, "_processes", None) or {}).values():
-        try:
-            proc.terminate()
-        except Exception:
-            pass
 
 
-def supervised_map(
+def _backoff(policy: ResiliencePolicy, attempt: int) -> float:
+    """Seconds between a unit's failure and its retry ``attempt``."""
+    return min(policy.backoff_cap, policy.backoff_base * 2 ** max(0, attempt - 1))
+
+
+def run_units(
     fn: Callable,
     tasks: Sequence,
+    *,
     workers: int,
     policy: ResiliencePolicy | None = None,
     on_result: Callable[[int, object], None] | None = None,
+    carrier: Callable[[int], Carrier],
 ) -> list:
-    """Map ``fn`` over ``tasks`` on a supervised process pool.
+    """Map ``fn`` over ``tasks`` through ``carrier``; results in task order.
 
-    Returns results in task order.  ``on_result(index, value)`` fires as
-    each task completes (in completion order) — the checkpointing hook.
+    ``on_result(index, value)`` fires once per unit as it completes (in
+    completion order) — the checkpointing hook.  At most
+    ``carrier.capacity()`` units are in flight.  Every failure of a
+    unit costs one of its ``max_retries`` re-runs, dispatched once its
+    backoff has passed (no other unit waits for it); once they are
+    spent:
 
-    Failure handling, in escalating order:
+    * a task exception propagates as itself;
+    * a deadline overrun raises :class:`~repro.errors.TaskTimeoutError`;
+    * a lost delivery runs the unit in the parent or raises, as the
+      carrier's ``exhausted_delivery`` declares.
 
-    * a task raising an exception is retried up to ``max_retries`` times
-      (with exponential backoff), then the exception propagates;
-    * a task whose payload cannot be pickled runs in-parent instead
-      (counted as ``engine.pickle_fallback``);
-    * a task exceeding ``task_timeout`` abandons the pool, which is
-      rebuilt; the task is retried and, once its retry budget is
-      exhausted, raises :class:`~repro.errors.TaskTimeoutError` (a hung
-      task would hang the parent too — degradation cannot help);
-    * a broken pool (crashed worker) is rebuilt and only unfinished
-      tasks are resubmitted, up to ``max_pool_rebuilds`` times, after
-      which the remainder runs sequentially in the parent.
+    A carrier that keeps losing deliveries (more than its
+    ``max_lost_rounds``) hands the rest of the batch to the parent.  A
+    unit that cannot be pickled (either way) runs in the parent
+    (``engine.pickle_fallback``).  The first answer for a unit wins; a
+    second one — a straggler that raced its replacement — must carry
+    the same result digest or the batch fails loudly.  The active
+    cancel scope is checked between events; cancelling abandons every
+    unit in flight.
     """
-    if policy is None:
-        policy = resolve_policy()
+    tasks = list(tasks)
+    n = len(tasks)
+    if not n:
+        return []
+    policy = policy or resolve_policy()
     reg = get_registry()
     scope = current_scope()
-    n = len(tasks)
+    units = carrier(max(1, min(workers, n)))
     results: dict[int, object] = {}
+    digests: dict[int, str | None] = {}
     attempts = [0] * n
-    sequential: set[int] = set()
-    rebuilds = 0
+    queue = deque(range(n))  # units ready to dispatch
+    backoff: dict[int, float] = {}  # retried units -> when they may start
+    inflight: dict[int, float | None] = {}  # index -> deadline
+    in_parent: list[int] = []  # units that cannot travel
+    degraded: list[int] = []  # units whose deliveries kept failing
+    lost_rounds = 0
 
-    def record(index: int, value) -> None:
-        results[index] = value
-        if on_result is not None:
-            on_result(index, value)
-
-    def backoff(attempt: int) -> None:
-        if policy.backoff_base > 0:
-            time.sleep(min(policy.backoff_cap, policy.backoff_base * 2 ** max(0, attempt - 1)))
-
-    pool = ProcessPoolExecutor(max_workers=workers)
-    to_run: deque[int] = deque(range(n))
-    pending: dict = {}
-    deadlines: dict = {}
-    try:
-        while to_run or pending:
-            # Cooperative cancellation: checked between rounds, never
-            # inside on_result (whose exceptions the retry logic would
-            # absorb as a task failure).  Already-completed chunks were
-            # checkpointed by the caller, so a retried job resumes.
-            if scope.cancelled():
-                _terminate(pool)
-                scope.raise_if_cancelled()
-            broken = False
-            # Bounded in-flight submission: one task per worker, so a
-            # deadline measures execution, not time spent queued.
-            while to_run and len(pending) < workers:
-                index = to_run.popleft()
-                try:
-                    future = pool.submit(_invoke, fn, index, tasks[index])
-                except (BrokenProcessPool, RuntimeError):
-                    to_run.appendleft(index)
-                    broken = True
-                    break
-                pending[future] = index
-                if policy.task_timeout is not None:
-                    deadlines[future] = time.monotonic() + policy.task_timeout
-            if pending and not broken:
-                timeout = None
-                if deadlines:
-                    timeout = max(0.0, min(deadlines.values()) - time.monotonic())
-                if scope.active:
-                    # Wake periodically so a cancellation interrupts the
-                    # wait instead of lingering until a task completes.
-                    timeout = 0.1 if timeout is None else min(timeout, 0.1)
-                done, _ = wait(set(pending), timeout=timeout, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = pending.pop(future)
-                    deadlines.pop(future, None)
-                    try:
-                        record(index, future.result())
-                    except BrokenProcessPool:
-                        broken = True
-                        to_run.append(index)
-                    except faults.InjectedFaultError as exc:
-                        attempts[index] += 1
-                        if attempts[index] > policy.max_retries:
-                            raise
-                        reg.increment("engine.retries")
-                        backoff(attempts[index])
-                        to_run.append(index)
-                    except Exception as exc:
-                        if _is_pickle_error(exc):
-                            reg.increment("engine.pickle_fallback")
-                            sequential.add(index)
-                            continue
-                        attempts[index] += 1
-                        if attempts[index] > policy.max_retries:
-                            raise
-                        reg.increment("engine.retries")
-                        backoff(attempts[index])
-                        to_run.append(index)
-                # Expire overdue tasks: the worker is wedged (or just too
-                # slow); the whole pool is abandoned below because a
-                # future of a ProcessPoolExecutor cannot be cancelled
-                # once running.
-                now = time.monotonic()
-                overdue = [f for f, dl in deadlines.items() if now >= dl]
-                for future in overdue:
-                    index = pending.pop(future)
-                    deadlines.pop(future)
-                    attempts[index] += 1
-                    reg.increment("engine.task_timeouts")
-                    if attempts[index] > policy.max_retries:
-                        _terminate(pool)
-                        raise TaskTimeoutError(
-                            f"task {index} exceeded its {policy.task_timeout:g}s "
-                            f"deadline on every one of {attempts[index]} attempts"
-                        )
-                    reg.increment("engine.retries")
-                    to_run.append(index)
-                if overdue:
-                    broken = True
-            if broken:
-                _terminate(pool)
-                rebuilds += 1
-                reg.increment("engine.pool_rebuilds")
-                unfinished = [
-                    i for i in range(n)
-                    if i not in results and i not in sequential
-                ]
-                pending.clear()
-                deadlines.clear()
-                if rebuilds > policy.max_pool_rebuilds:
-                    # The pool keeps dying: degrade the remainder to
-                    # sequential in-parent execution, the last resort
-                    # that cannot be killed by worker failures.
-                    reg.increment("engine.degraded_sequential")
-                    sequential.update(unfinished)
-                    to_run.clear()
-                else:
-                    to_run = deque(unfinished)
-                    pool = ProcessPoolExecutor(max_workers=workers)
-    finally:
-        _terminate(pool)
-    for index in sorted(sequential):
+    def record(index: int, value, digest: str | None) -> None:
         if index not in results:
-            record(index, fn(tasks[index]))
+            results[index] = value
+            digests[index] = digest
+            if on_result is not None:
+                on_result(index, value)
+        elif digest is not None and digests[index] is not None:
+            if digest != digests[index]:
+                reg.increment("engine.remote_digest_divergence")
+                raise TransportError(
+                    f"unit {index} produced two divergent results "
+                    f"({digests[index][:12]}… vs {digest[:12]}…): "
+                    "the same-seed rerun contract is broken"
+                )
+            reg.increment("engine.remote_digest_agreements")
+
+    def start(index: int, at: float) -> None:
+        if policy.task_timeout is not None:
+            inflight[index] = at + policy.task_timeout
+
+    def fail(index: int, kind: str, error: BaseException) -> None:
+        attempts[index] += 1
+        if attempts[index] <= policy.max_retries:
+            reg.increment("engine.retries")
+            backoff[index] = time.monotonic() + _backoff(policy, attempts[index])
+        elif kind == "lost" and units.exhausted_delivery == "degrade":
+            degraded.append(index)
+        else:
+            raise error
+
+    try:
+        while queue or inflight or backoff:
+            if scope.cancelled():
+                units.abandon(list(inflight))
+                inflight.clear()
+                scope.raise_if_cancelled()
+            now = time.monotonic()
+            for index in [i for i, at in backoff.items() if at <= now]:
+                del backoff[index]
+                queue.append(index)
+            while queue and len(inflight) < units.capacity():
+                index = queue.popleft()
+                if index in results:
+                    continue
+                if units.dispatch(index, fn, tasks[index]):
+                    inflight[index] = None
+                    if units.starts_on_dispatch:
+                        start(index, time.monotonic())
+                else:
+                    reg.increment("engine.pickle_fallback")
+                    in_parent.append(index)
+            wakes = [d for d in inflight.values() if d is not None] + list(backoff.values())
+            if scope.active:
+                wakes.append(now + _CANCEL_POLL_SECONDS)
+            timeout = max(0.0, min(wakes) - time.monotonic()) if wakes else None
+            if not inflight:  # only backoffs are pending
+                time.sleep(timeout or 0.0)
+                continue
+            outcomes = units.wait(timeout)
+            for index, kind, value, digest in outcomes:
+                if kind == "ok":
+                    inflight.pop(index, None)
+                    record(index, value, digest)
+                elif index not in inflight:  # news of an abandoned unit
+                    continue
+                elif kind == "started":
+                    start(index, value)
+                else:
+                    del inflight[index]
+                    if kind == "requeue":
+                        queue.appendleft(index)
+                    elif kind == "unpicklable":
+                        reg.increment("engine.pickle_fallback")
+                        in_parent.append(index)
+                    else:
+                        fail(index, kind, value)
+            lost_rounds += any(kind == "lost" for _, kind, _, _ in outcomes)
+            if units.max_lost_rounds is not None and lost_rounds > units.max_lost_rounds:
+                units.abandon(list(inflight))
+                degraded += [*inflight, *queue, *backoff]
+                for pending in (inflight, queue, backoff):
+                    pending.clear()
+            now = time.monotonic()
+            overdue = [i for i, d in inflight.items() if d is not None and now >= d]
+            if overdue:
+                units.abandon(overdue)
+                for index in overdue:
+                    del inflight[index]
+                    reg.increment("engine.task_timeouts")
+                    fail(index, "timeout", TaskTimeoutError(
+                        f"task {index} exceeded its {policy.task_timeout:g}s "
+                        f"deadline on every one of {attempts[index] + 1} attempts"
+                    ))
+    finally:
+        units.close()
+    if degraded:
+        reg.increment("engine.degraded_sequential")
+    for index in in_parent + degraded:
+        if index not in results:
+            record(index, fn(tasks[index]), None)
     return [results[i] for i in range(n)]
 
 

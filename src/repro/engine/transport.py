@@ -4,10 +4,10 @@ The determinism contract lives one layer up — chunk boundaries and
 per-task seeds are a function of the task list alone (see
 :mod:`repro.engine.executor`) — so the engine is free to ship the same
 task units anywhere.  A :class:`Transport` is exactly that freedom made
-explicit: :meth:`~Transport.submit_chunks` hands it an ordered batch,
-:meth:`~PendingBatch.collect` returns results in task order, and
-*bit-identity is transport-invariant* because nothing about seeding,
-chunking or reduction order is the transport's business.
+explicit: :meth:`~Transport.run` takes an ordered batch and returns
+results in task order, and *bit-identity is transport-invariant*
+because nothing about seeding, chunking or reduction order is the
+transport's business.
 
 Four transports ship:
 
@@ -15,24 +15,21 @@ Four transports ship:
     Sequential, in the calling process.  No isolation, no fault
     injection, no pickling requirement — the reference execution.
 ``pool``
-    The supervised process pool (:func:`repro.engine.resilience.supervised_map`)
-    ported intact: bounded in-flight submission, per-task deadlines,
-    bounded retries with backoff, broken-pool rebuild, degradation to
-    sequential, deterministic fault injection.
+    A process pool per batch (:class:`PoolCarrier`).
 ``subprocess``
-    Each task unit ships to a *fresh* worker process
-    (:mod:`repro.engine.worker`) as an integrity-sealed pickle over a
-    pipe — the prototype for remote workers.  Per-task deadlines,
-    retries and crash recovery mirror the pool's resilience policy;
-    fault injection works unchanged because the worker runs the same
-    shim.
+    A *fresh* worker process per task unit (:mod:`repro.engine.worker`),
+    the unit an integrity-sealed pickle over a pipe (the frame codec
+    below, shared with the fleet) — the only carrier
+    that gives every unit a cold process and can kill a hung unit
+    without touching the others.
 ``remote``
-    Task units ship over HTTP to a registered worker fleet
-    (:mod:`repro.engine.remote`) under lease-based assignment with
-    heartbeats, failover re-dispatch, straggler digest verification and
-    per-worker circuit breakers.  Degrades to ``pool`` (and thence to
-    sequential) when no healthy worker is reachable.  Registered
-    lazily on first request to avoid a circular import.
+    Task units leased over HTTP to a registered worker fleet
+    (:mod:`repro.engine.remote`).  Registered lazily on first request
+    to avoid a circular import.
+
+Every isolating transport runs its units through the one lifecycle in
+:func:`repro.engine.resilience.run_units` (attempts, deadlines,
+backoff, degradation, cancellation); its carrier only moves units.
 
 Selection: ``run_tasks(transport=...)`` > ``parallel(transport=...)`` >
 ``$REPRO_TRANSPORT`` > automatic (inline when effectively sequential,
@@ -41,83 +38,142 @@ pool otherwise).
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
+import queue
 import subprocess
 import sys
-import time
+import threading
+import traceback
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 
-from repro.engine.cancellation import NULL_SCOPE, current_scope
+from repro.engine.cache import seal_payload, unseal_payload
 from repro.engine.metrics import get_registry
-from repro.engine.resilience import ResiliencePolicy, resolve_policy, supervised_map
-from repro.errors import TaskTimeoutError, TransportError
+from repro.engine.resilience import Carrier, ResiliencePolicy, _invoke, run_units
+from repro.errors import TransportError
 
 __all__ = [
     "Transport",
-    "PendingBatch",
     "InlineTransport",
     "ProcessPoolTransport",
     "SubprocessWorkerTransport",
+    "PoolCarrier",
+    "encode_unit",
+    "execute_unit",
+    "decode_frame",
+    "worker_env",
     "available_transports",
     "get_transport",
     "resolve_transport",
 ]
 
 
-@dataclass(frozen=True)
-class PendingBatch:
-    """A submitted batch whose results have not been collected yet.
+# ---------------------------------------------------------------------------
+# The task-unit frame codec
+# ---------------------------------------------------------------------------
+#
+# Every carrier that ships a unit out of the parent — a fresh
+# ``python -m repro.engine.worker`` child per unit, or a remote fleet
+# worker — speaks the same two messages.  A *unit* is
+# ``seal_payload(pickle((fn, index, task)))``, the disk cache's integrity
+# trailer, so a truncated pipe or body is detected, never deserialized.
+# A *frame* is a sealed pickle of ``("ok", value)``, ``("err", exc)``,
+# ``("err_str", traceback)`` (the exception does not pickle),
+# ``("unpicklable", message)`` (the result does not pickle, or the unit
+# names something the worker cannot import) or ``("lost", message)``
+# (the unit failed its integrity check).  The task runs through the
+# fault-injection shim (``resilience._invoke``) as on the pool.
 
-    Transports are synchronous today, so :meth:`collect` is where the
-    work actually runs; the submit/collect split is the seam a future
-    remote transport needs (submit = enqueue over the wire, collect =
-    await the result stream) without changing any caller.
+
+def _sealed(message) -> bytes:
+    return seal_payload(pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def encode_unit(fn: Callable, index: int, task) -> bytes | None:
+    """The sealed unit, or ``None`` when ``fn`` or ``task`` does not pickle."""
+    try:
+        return _sealed((fn, index, task))
+    except Exception:
+        return None
+
+
+def execute_unit(
+    blob: bytes, on_start: Callable[[int], None] | None = None
+) -> tuple[bytes, int | None]:
+    """Run one sealed unit; returns ``(sealed frame, task index)``.
+
+    ``on_start(index)`` runs just before the task (the fleet worker's
+    chaos hook).  The index is ``None`` when the unit never opened.
     """
+    payload = unseal_payload(blob)
+    if payload is None:
+        return _sealed(("lost", "task unit failed its integrity check")), None
+    try:
+        fn, index, task = pickle.loads(payload)
+    except Exception as exc:  # the unit names something we cannot import
+        return _sealed(("unpicklable", f"worker cannot deserialize unit: "
+                                       f"{type(exc).__name__}: {exc}")), None
+    if on_start is not None:
+        on_start(index)
+    try:
+        value = _invoke(fn, index, task)
+    except BaseException as exc:  # noqa: BLE001 - errors ride the channel
+        try:
+            return _sealed(("err", exc)), index
+        except Exception:
+            trace = traceback.format_exception(type(exc), exc, exc.__traceback__)
+            return _sealed(("err_str", "".join(trace))), index
+    try:
+        return _sealed(("ok", value)), index
+    except Exception as exc:
+        return _sealed(("unpicklable", f"{type(exc).__name__}: {exc}")), index
 
-    transport: str
-    n_tasks: int
-    _run: Callable[[], list]
 
-    def collect(self) -> list:
-        """Execute (if not already executing) and return results in
-        task order."""
-        return self._run()
+def decode_frame(frame: bytes, index: int) -> tuple[str, object, str | None]:
+    """``(kind, value, digest)`` of one frame for task ``index``.
+
+    ``digest`` is the SHA-256 of an ``ok`` frame (``None`` otherwise);
+    a frame that fails its integrity check or does not unpickle is a
+    ``lost`` delivery.
+    """
+    payload = unseal_payload(frame)
+    try:
+        status, value = pickle.loads(payload)
+    except Exception:
+        return "lost", TransportError(
+            f"result frame for task {index} failed its integrity check"
+        ), None
+    if status == "ok":
+        return "ok", value, hashlib.sha256(payload).hexdigest()
+    if status in ("err_str", "lost"):
+        return ("err" if status == "err_str" else "lost"), TransportError(
+            f"task {index}: {value}"
+        ), None
+    return status, value, None
+
+
+def worker_env() -> dict[str, str]:
+    """The parent's environment, with its ``sys.path`` as ``PYTHONPATH``
+    so a cold child imports ``repro`` whatever the install layout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    return env
+
 
 
 class Transport:
-    """Interface for running a batch of independent task units.
+    """A named way to run a batch of independent task units.
 
-    Capability flags let callers adapt without ``isinstance`` checks:
-
-    ``isolates_tasks``
-        Task units run outside the calling process (a crash cannot take
-        the parent down; payloads must pickle).
-    ``supports_fault_injection``
-        The deterministic fault harness (``$REPRO_FAULT_PLAN``) reaches
-        the task execution path on this transport.
-    ``fresh_process_per_task``
-        Every task unit sees a cold process (no warm imports, no shared
-        module state) — the property replay verification relies on.
+    ``isolates_tasks`` means units run outside the calling process (a
+    crash cannot take the parent down; payloads must pickle).
     """
 
     name: str = "abstract"
     isolates_tasks: bool = False
-    supports_fault_injection: bool = False
-    fresh_process_per_task: bool = False
-
-    def submit_chunks(
-        self,
-        fn: Callable,
-        tasks: Sequence,
-        *,
-        workers: int = 1,
-        policy: ResiliencePolicy | None = None,
-        on_result: Callable[[int, object], None] | None = None,
-    ) -> PendingBatch:
-        raise NotImplementedError
+    carrier: type[Carrier]
 
     def run(
         self,
@@ -128,10 +184,11 @@ class Transport:
         policy: ResiliencePolicy | None = None,
         on_result: Callable[[int, object], None] | None = None,
     ) -> list:
-        """Submit and collect in one call — what synchronous callers use."""
-        return self.submit_chunks(
-            fn, tasks, workers=workers, policy=policy, on_result=on_result
-        ).collect()
+        """Run ``fn`` over ``tasks``; results in task order."""
+        return run_units(
+            fn, tasks, workers=workers, policy=policy, on_result=on_result,
+            carrier=self.carrier,
+        )
 
 
 class InlineTransport(Transport):
@@ -143,242 +200,194 @@ class InlineTransport(Transport):
 
     name = "inline"
 
-    def submit_chunks(self, fn, tasks, *, workers=1, policy=None, on_result=None):
-        tasks = list(tasks)
+    def run(self, fn, tasks, *, workers=1, policy=None, on_result=None):
+        results = []
+        for index, task in enumerate(tasks):
+            results.append(fn(task))
+            if on_result is not None:
+                on_result(index, results[-1])
+        return results
 
-        def _run() -> list:
-            results = []
-            for index, task in enumerate(tasks):
-                value = fn(task)
-                if on_result is not None:
-                    on_result(index, value)
-                results.append(value)
-            return results
 
-        return PendingBatch(self.name, len(tasks), _run)
+def _is_pickle_error(exc: BaseException) -> bool:
+    if isinstance(exc, pickle.PicklingError):
+        return True
+    return isinstance(exc, (TypeError, AttributeError)) and "pickle" in str(exc).lower()
+
+
+class PoolCarrier(Carrier):
+    """Units as futures of one ``ProcessPoolExecutor`` per batch.
+
+    A running future cannot be cancelled, so abandoning a unit
+    terminates and reaps every worker of the pool; the other units in
+    flight are re-dispatched free of charge on a fresh pool.  A dead
+    worker breaks the whole pool the same way, but every unit in flight
+    then counts the lost delivery, and after ``max_lost_rounds`` broken
+    pools the rest of the batch runs in the parent.  Waiting is
+    event-driven (``wait(FIRST_COMPLETED)``).
+    """
+
+    max_lost_rounds = 3
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.pool: ProcessPoolExecutor | None = None
+        self.futures: dict = {}  # future -> index
+        self.settled: list[tuple] = []  # outcomes known without waiting
+        self.discarded = False
+
+    def dispatch(self, index, fn, task):
+        if self.pool is None:
+            if self.discarded:
+                get_registry().increment("engine.pool_rebuilds")
+            self.pool = ProcessPoolExecutor(max_workers=self.workers)
+        try:
+            self.futures[self.pool.submit(_invoke, fn, index, task)] = index
+        except (BrokenProcessPool, RuntimeError) as exc:
+            error = TransportError(f"process pool is broken: {exc}")
+            self.settled.append((index, "lost", error, None))
+            self._discard("lost", error)
+        return True
+
+    def wait(self, timeout):
+        if not self.settled:
+            wait(self.futures, timeout=timeout, return_when=FIRST_COMPLETED)
+        broken = None
+        for future in [f for f in self.futures if f.done()]:
+            index = self.futures.pop(future)
+            try:
+                self.settled.append((index, "ok", future.result(), None))
+            except BrokenProcessPool as exc:
+                broken = TransportError(f"a pool worker died: {exc}")
+                self.settled.append((index, "lost", broken, None))
+            except Exception as exc:
+                kind = "unpicklable" if _is_pickle_error(exc) else "err"
+                self.settled.append((index, kind, exc, None))
+        if broken is not None:
+            self._discard("lost", broken)
+        outcomes, self.settled = self.settled, []
+        return outcomes
+
+    def abandon(self, indices):
+        for future in [f for f, i in self.futures.items() if i in indices]:
+            del self.futures[future]
+        self._discard("requeue")
+
+    def close(self):
+        if self.futures:
+            self._discard(None)
+        elif self.pool is not None:
+            self.pool.shutdown(wait=False)
+
+    def _discard(self, kind: str | None, error=None) -> None:
+        """Terminate and reap the pool's workers; settle the units in
+        flight as ``kind`` (``None``: the batch is over)."""
+        pool, self.pool = self.pool, None
+        if pool is not None:
+            # shutdown() drops the executor's process table: read it first.
+            procs = list((pool._processes or {}).values())
+            pool.shutdown(wait=False, cancel_futures=True)
+            alive = [proc for proc in procs if proc.is_alive()]
+            for proc in alive:
+                proc.terminate()
+            for proc in procs:
+                proc.join(5.0)
+                if proc.is_alive():
+                    proc.kill()
+                    proc.join()
+            get_registry().increment("engine.worker_reaped", by=len(alive))
+            self.discarded = True
+        if kind is not None:
+            self.settled += [(i, kind, error, None) for i in self.futures.values()]
+        self.futures.clear()
+
+
+class _SubprocessCarrier(Carrier):
+    """One ``python -m repro.engine.worker`` child per unit.
+
+    A parent thread per child pumps the sealed unit in and the frame
+    out.  Abandoning a unit kills and reaps its child only
+    (``engine.worker_reaped``).  A unit whose child keeps dying raises
+    instead of degrading: each unit has a process of its own here, so
+    the unit itself is the likely killer, and it would take the parent
+    down too.
+    """
+
+    exhausted_delivery = "raise"
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.running: dict[int, subprocess.Popen] = {}
+        self.done: queue.Queue = queue.Queue()
+
+    def dispatch(self, index, fn, task):
+        unit = encode_unit(fn, index, task)
+        if unit is None:
+            return False
+        get_registry().increment("engine.subprocess_tasks")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.engine.worker"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=worker_env(),
+        )
+        self.running[index] = proc
+        threading.Thread(
+            target=self._pump, args=(index, proc, unit), daemon=True
+        ).start()
+        return True
+
+    def _pump(self, index, proc, unit) -> None:
+        try:
+            out = proc.communicate(unit)[0]
+        except (OSError, ValueError):
+            out = b""
+        self.done.put((index, proc, out))
+
+    def wait(self, timeout):
+        outcomes = []
+        try:
+            item = self.done.get(timeout=timeout)
+            while True:
+                index, proc, out = item
+                if self.running.get(index) is proc:  # else: abandoned
+                    del self.running[index]
+                    outcomes.append((index, *self._outcome(index, proc, out)))
+                item = self.done.get_nowait()
+        except queue.Empty:
+            return outcomes
+
+    @staticmethod
+    def _outcome(index, proc, out):
+        if proc.returncode != 0:
+            get_registry().increment("engine.worker_crashes")
+            return "lost", TransportError(
+                f"worker for task {index} exited with code {proc.returncode} "
+                "before producing a result frame"
+            ), None
+        return decode_frame(out, index)
+
+    def abandon(self, indices):
+        reg = get_registry()
+        for index in indices:
+            proc = self.running.pop(index)
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+                reg.increment("engine.worker_reaped")
+
+    def close(self):
+        self.abandon(list(self.running))
 
 
 class ProcessPoolTransport(Transport):
-    """The supervised process pool, behind the transport seam.
-
-    Delegates to :func:`repro.engine.resilience.supervised_map`
-    unchanged — every resilience behavior (timeouts, retries, rebuilds,
-    sequential degradation, fault injection) is that function's,
-    verified by the chaos suite.
-    """
-
     name = "pool"
     isolates_tasks = True
-    supports_fault_injection = True
-
-    def submit_chunks(self, fn, tasks, *, workers=1, policy=None, on_result=None):
-        tasks = list(tasks)
-        workers = max(1, min(workers, len(tasks) or 1))
-
-        def _run() -> list:
-            return supervised_map(
-                fn, tasks, workers=workers, policy=policy, on_result=on_result
-            )
-
-        return PendingBatch(self.name, len(tasks), _run)
+    carrier = PoolCarrier
 
 
 class SubprocessWorkerTransport(Transport):
-    """Ship each task unit to a fresh worker process over a pipe.
-
-    The unit on the wire is ``seal_payload(pickle((fn, index, task)))``
-    — the same self-describing, integrity-sealed shape a manifest's
-    chunk table records — and the reply is a sealed ``("ok", value)`` /
-    ``("err", exc)`` frame (see :mod:`repro.engine.worker`).  Up to
-    ``workers`` child processes run concurrently, driven by parent
-    threads.
-
-    Resilience mirrors :func:`supervised_map` per task: a deadline
-    overrun kills the child and retries (then raises
-    :class:`~repro.errors.TaskTimeoutError`); an uncontrolled child
-    death or a corrupt reply frame retries (then raises
-    :class:`~repro.errors.TransportError`); an exception raised by the
-    task retries (then re-raises the task's own exception); a result
-    that cannot pickle degrades that task to in-parent execution
-    (``engine.pickle_fallback``), exactly like the pool.
-    """
-
     name = "subprocess"
     isolates_tasks = True
-    supports_fault_injection = True
-    fresh_process_per_task = True
-
-    def submit_chunks(self, fn, tasks, *, workers=1, policy=None, on_result=None):
-        tasks = list(tasks)
-        workers = max(1, min(workers, len(tasks) or 1))
-        if policy is None:
-            policy = resolve_policy()
-        # Cancel scopes are thread-local; the pool threads below would
-        # see only the null scope, so capture the submitter's here.
-        scope = current_scope()
-
-        def _run() -> list:
-            if not tasks:
-                return []
-            if workers == 1:
-                return [
-                    self._run_one(fn, i, task, policy, on_result, scope)
-                    for i, task in enumerate(tasks)
-                ]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(self._run_one, fn, i, task, policy, on_result, scope)
-                    for i, task in enumerate(tasks)
-                ]
-                return [f.result() for f in futures]
-
-        return PendingBatch(self.name, len(tasks), _run)
-
-    # -- one task unit, with retries ----------------------------------------
-
-    @staticmethod
-    def _worker_env() -> dict[str, str]:
-        env = dict(os.environ)
-        # The child must be able to import repro from a cold start; the
-        # parent's sys.path is authoritative regardless of install layout.
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        return env
-
-    #: How often a cancellable wait re-checks its scope while the child runs.
-    _POLL_SECONDS = 0.1
-
-    def _run_one(self, fn, index, task, policy, on_result, scope=NULL_SCOPE):
-        from repro.engine.cache import seal_payload, unseal_payload
-
-        reg = get_registry()
-        scope.raise_if_cancelled()
-        try:
-            unit = seal_payload(
-                pickle.dumps((fn, index, task), protocol=pickle.HIGHEST_PROTOCOL)
-            )
-        except Exception:
-            # Task payload does not pickle: run it here, like the pool's
-            # per-task pickle fallback.
-            reg.increment("engine.pickle_fallback")
-            return self._record(fn(task), index, on_result)
-
-        attempts = 0
-        while True:
-            scope.raise_if_cancelled()
-            reg.increment("engine.subprocess_tasks")
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "repro.engine.worker"],
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                env=self._worker_env(),
-            )
-            try:
-                out = self._drive(proc, unit, policy, scope)
-            except subprocess.TimeoutExpired:
-                attempts += 1
-                reg.increment("engine.task_timeouts")
-                if attempts > policy.max_retries:
-                    raise TaskTimeoutError(
-                        f"task {index} exceeded its {policy.task_timeout:g}s "
-                        f"deadline on every one of {attempts} attempts"
-                    )
-                self._backoff(policy, attempts)
-                continue
-            finally:
-                self._reap(proc, reg)
-            failure: BaseException | None = None
-            if proc.returncode != 0:
-                reg.increment("engine.worker_crashes")
-                failure = TransportError(
-                    f"worker for task {index} exited with code {proc.returncode} "
-                    "before producing a result frame"
-                )
-            else:
-                payload = unseal_payload(out)
-                if payload is None:
-                    failure = TransportError(
-                        f"result frame for task {index} failed its integrity check"
-                    )
-                else:
-                    status, value = pickle.loads(payload)
-                    if status == "ok":
-                        return self._record(value, index, on_result)
-                    if status == "unpicklable":
-                        reg.increment("engine.pickle_fallback")
-                        return self._record(fn(task), index, on_result)
-                    failure = (
-                        value if status == "err" else TransportError(str(value))
-                    )
-            attempts += 1
-            if attempts > policy.max_retries:
-                raise failure
-            reg.increment("engine.retries")
-            self._backoff(policy, attempts)
-
-    def _drive(self, proc, unit, policy, scope):
-        """Pump the sealed unit through ``proc`` and return its stdout.
-
-        Waits in short slices when a live cancel scope is installed so a
-        cancellation (or deadline) interrupts the wait within
-        ``_POLL_SECONDS`` instead of after the child finishes.  Raises
-        :class:`subprocess.TimeoutExpired` on a per-task deadline
-        overrun and :class:`~repro.errors.JobCancelledError` on
-        cancellation; either way the caller's ``finally`` owns killing
-        and reaping the child.
-        """
-        deadline = (
-            None
-            if policy.task_timeout is None
-            else time.monotonic() + policy.task_timeout
-        )
-        payload = unit
-        while True:
-            scope.raise_if_cancelled()
-            wait = self._POLL_SECONDS if scope.active else None
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise subprocess.TimeoutExpired(proc.args, policy.task_timeout)
-                wait = remaining if wait is None else min(wait, remaining)
-            try:
-                out, _ = proc.communicate(payload, timeout=wait)
-                return out
-            except subprocess.TimeoutExpired:
-                if not scope.active and deadline is None:
-                    raise  # unreachable: wait was None
-                # The unit is already on the pipe; later rounds only poll.
-                payload = None
-
-    @staticmethod
-    def _reap(proc, reg) -> None:
-        """Guarantee the child is dead *and* waited on — never a zombie.
-
-        A child that exited normally was already reaped inside
-        ``communicate``; this only pays (kill + wait, counted as
-        ``engine.worker_reaped``) when the task unit was abandoned —
-        deadline overrun, cancellation, or an error unsealing the reply.
-        """
-        if proc.returncode is not None:
-            return
-        proc.kill()
-        try:
-            proc.communicate()  # drain pipes; kill() guarantees exit
-        except (ValueError, OSError):  # pragma: no cover - interpreter quirks
-            proc.wait()
-        reg.increment("engine.worker_reaped")
-
-    @staticmethod
-    def _record(value, index, on_result):
-        if on_result is not None:
-            on_result(index, value)
-        return value
-
-    @staticmethod
-    def _backoff(policy: ResiliencePolicy, attempt: int) -> None:
-        if policy.backoff_base > 0:
-            time.sleep(
-                min(policy.backoff_cap, policy.backoff_base * 2 ** max(0, attempt - 1))
-            )
+    carrier = _SubprocessCarrier
 
 
 _TRANSPORTS: dict[str, Transport] = {

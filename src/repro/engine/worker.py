@@ -1,87 +1,36 @@
-"""Fresh-process task worker: one sealed task unit in, one sealed result out.
+"""Fresh-process task worker: one sealed task unit in, one sealed frame out.
 
-This is the receiving end of
-:class:`repro.engine.transport.SubprocessWorkerTransport` — the
-prototype for remote workers.  The protocol is deliberately the
-smallest thing that preserves the engine's guarantees:
+This is the receiving end of the ``subprocess`` transport
+(:mod:`repro.engine.transport`).  It reads one unit on stdin, runs it
+through the frame codec the fleet workers share
+(:func:`repro.engine.transport.execute_unit`), and writes the frame to a
+duplicate of file descriptor 1, which it first re-points at stderr, so a
+task that prints cannot corrupt the frame.  It exits 0 whenever a frame
+was written; any other exit (70 for a planned ``worker_crash``) is an
+uncontrolled death.
 
-* stdin carries one integrity-sealed pickle of ``(fn, index, task)``
-  (the same sealing as disk-cache entries, so a truncated pipe is
-  detected, not deserialized);
-* stdout carries one integrity-sealed pickle of ``("ok", value)`` or
-  ``("err", exception)`` — nothing else.  The worker re-points file
-  descriptor 1 at stderr *before* running user code, so a task that
-  prints cannot corrupt the result frame;
-* the task runs through the same fault-injection shim
-  (:func:`repro.engine.resilience._invoke`) as pool workers, so the
-  chaos harness (``$REPRO_FAULT_PLAN``) exercises this transport
-  unchanged: a planned ``worker_crash`` kills this process with exit
-  code 70, a planned ``task_timeout`` stalls it into the parent's
-  deadline, a planned ``task_error`` raises and rides back as
-  ``("err", ...)``.
-
-Exit codes: 0 = result frame written (even for ``("err", ...)``),
-66 = the task unit itself failed its integrity check, 70 = injected
-crash.  Anything else is an uncontrolled death; the parent retries
-under its resilience policy either way.
+The codec lives in the transport module, not here: the engine package
+imports it, and a module the package imports cannot also run cleanly
+as ``python -m``.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import sys
-import traceback
 
 __all__ = ["main"]
 
-_CORRUPT_TASK_EXIT = 66
-
 
 def main() -> int:
-    # Claim the result channel before any user code runs: fd 1 is
-    # duplicated for the sealed frame, then re-pointed at stderr so
-    # ``print`` inside a task lands in the diagnostic stream instead of
-    # the protocol stream.
     result_fd = os.dup(1)
     os.dup2(2, 1)
     sys.stdout = sys.stderr
+    from repro.engine.transport import execute_unit
 
-    from repro.engine.cache import seal_payload, unseal_payload
-    from repro.engine.resilience import _invoke
-
-    blob = sys.stdin.buffer.read()
-    payload = unseal_payload(blob)
-    if payload is None:
-        return _CORRUPT_TASK_EXIT
-    fn, index, task = pickle.loads(payload)
-    try:
-        value = _invoke(fn, index, task)
-    except BaseException as exc:  # noqa: BLE001 - errors ride the channel
-        try:
-            body = pickle.dumps(("err", exc), protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            # The exception itself does not pickle; send its traceback
-            # so the parent can surface it instead of dying frameless.
-            body = pickle.dumps(
-                ("err_str",
-                 "".join(traceback.format_exception(type(exc), exc,
-                                                    exc.__traceback__))),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-    else:
-        try:
-            body = pickle.dumps(("ok", value), protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            # The *result* does not pickle — tell the parent so it can
-            # degrade that task to in-parent execution, mirroring the
-            # pool transport's pickle fallback.
-            body = pickle.dumps(
-                ("unpicklable", f"{type(exc).__name__}: {exc}"),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
+    frame, _ = execute_unit(sys.stdin.buffer.read())
     with os.fdopen(result_fd, "wb") as out:
-        out.write(seal_payload(body))
+        out.write(frame)
     return 0
 
 

@@ -35,6 +35,7 @@ import itertools
 import threading
 import time
 from collections import Counter
+from collections.abc import Callable
 
 from repro.engine import faults
 from repro.engine.metrics import get_registry
@@ -129,12 +130,21 @@ class AdmissionController:
 
     # -- admission ----------------------------------------------------------
 
-    def admit(self, job_id: str, *, tenant: str = "default", priority: int = 5):
+    def admit(
+        self,
+        job_id: str,
+        *,
+        tenant: str = "default",
+        priority: int = 5,
+        record: Callable[[], object] | None = None,
+    ):
         """Admit or refuse one submission.
 
         Raises :class:`~repro.errors.JobRejectedError` with the HTTP
         status the server should answer (429 backpressure / rate limit,
-        503 shed) — admission never queues a refusal.
+        503 shed) — admission never queues a refusal.  ``record()`` runs
+        once the job is admitted and before its id can be taken, so a
+        worker never takes an id whose job has not been recorded yet.
         """
         reg = get_registry()
         with self._cv:
@@ -173,6 +183,8 @@ class AdmissionController:
                     status=503,
                     retry_after=self.retry_after,
                 )
+            if record is not None:
+                record()
             heapq.heappush(
                 self._heap,
                 (priority, self._queued_by_tenant[tenant], next(self._seq),

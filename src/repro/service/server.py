@@ -37,12 +37,11 @@ import os
 import signal
 import sys
 import threading
-import warnings
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.engine.metrics import get_registry
-from repro.engine.resilience import get_checkpoint_store
+from repro.engine.resilience import env_number, get_checkpoint_store
 from repro.errors import JobRejectedError, ServiceError
 from repro.service.admission import AdmissionController
 from repro.service.jobs import TERMINAL_STATES, JobSpec
@@ -50,21 +49,6 @@ from repro.service.journal import JobStore
 from repro.service.runner import JobRunner
 
 __all__ = ["ServiceConfig", "JobService", "serve"]
-
-
-def _env_value(name: str, default, convert):
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    try:
-        return convert(raw)
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed {name}={raw!r}; using default {default!r}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return default
 
 
 @dataclass(frozen=True)
@@ -98,20 +82,20 @@ class ServiceConfig:
     @classmethod
     def from_env(cls, **overrides) -> ServiceConfig:
         values = {
-            "queue_capacity": _env_value("REPRO_SERVE_QUEUE_CAPACITY", 64, int),
-            "workers": _env_value("REPRO_SERVE_WORKERS", 2, int),
-            "tenant_rate": _env_value("REPRO_SERVE_TENANT_RATE", 10.0, float),
-            "tenant_burst": _env_value("REPRO_SERVE_TENANT_BURST", 20.0, float),
-            "shed_threshold": _env_value("REPRO_SERVE_SHED_THRESHOLD", 0.85, float),
-            "shed_priority": _env_value("REPRO_SERVE_SHED_PRIORITY", 5, int),
-            "retry_after": _env_value("REPRO_SERVE_RETRY_AFTER", 2.0, float),
-            "default_deadline": _env_value("REPRO_SERVE_DEADLINE", None, float),
-            "drain_timeout": _env_value("REPRO_SERVE_DRAIN_TIMEOUT", 10.0, float),
-            "checkpoint_ttl": _env_value("REPRO_SERVE_CHECKPOINT_TTL", None, float),
+            "queue_capacity": env_number("REPRO_SERVE_QUEUE_CAPACITY", 64, int),
+            "workers": env_number("REPRO_SERVE_WORKERS", 2, int),
+            "tenant_rate": env_number("REPRO_SERVE_TENANT_RATE", 10.0, float),
+            "tenant_burst": env_number("REPRO_SERVE_TENANT_BURST", 20.0, float),
+            "shed_threshold": env_number("REPRO_SERVE_SHED_THRESHOLD", 0.85, float),
+            "shed_priority": env_number("REPRO_SERVE_SHED_PRIORITY", 5, int),
+            "retry_after": env_number("REPRO_SERVE_RETRY_AFTER", 2.0, float),
+            "default_deadline": env_number("REPRO_SERVE_DEADLINE", None, float),
+            "drain_timeout": env_number("REPRO_SERVE_DRAIN_TIMEOUT", 10.0, float),
+            "checkpoint_ttl": env_number("REPRO_SERVE_CHECKPOINT_TTL", None, float),
             "token": os.environ.get("REPRO_SERVE_TOKEN") or None,
             "transport": os.environ.get("REPRO_SERVE_TRANSPORT") or None,
             "fleet_bind": os.environ.get("REPRO_SERVE_FLEET_BIND") or None,
-            "journal_max_bytes": _env_value(
+            "journal_max_bytes": env_number(
                 "REPRO_SERVE_JOURNAL_MAX_BYTES", None, int
             ),
         }
@@ -204,15 +188,18 @@ class JobService:
                 return 202, {"job_id": job_id, "status": existing.status,
                              "deduped": True}, {}
             try:
-                self.admission.admit(job_id, tenant=tenant, priority=priority)
+                self.admission.admit(
+                    job_id, tenant=tenant, priority=priority,
+                    record=lambda: self.store.submit(
+                        spec, tenant=tenant, priority=priority,
+                        deadline_seconds=deadline,
+                    ),
+                )
             except JobRejectedError as exc:
                 headers = {}
                 if exc.retry_after is not None:
                     headers["Retry-After"] = f"{exc.retry_after:g}"
                 return exc.status, {"error": str(exc), "job_id": job_id}, headers
-            self.store.submit(
-                spec, tenant=tenant, priority=priority, deadline_seconds=deadline
-            )
         return 202, {"job_id": job_id, "status": "queued"}, {}
 
     def status(self, job_id: str) -> tuple[int, dict, dict]:

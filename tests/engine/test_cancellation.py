@@ -6,6 +6,7 @@ stay on disk, so a retry of the same batch resumes instead of
 restarting.
 """
 
+import multiprocessing
 import threading
 import time
 
@@ -176,6 +177,24 @@ class TestCancelParallelTransports:
                         run_tasks(time.sleep, [0.2] * 40)
         finally:
             timer.cancel()
+
+    def test_cancelled_pool_leaves_no_worker_running(self):
+        # Regression: cancelling used to abandon the pool without
+        # terminating it, so its workers slept on for the full 30 s.
+        scope = CancelScope()
+        timer = threading.Timer(0.3, scope.cancel)
+        timer.start()
+        try:
+            with cancel_scope(scope):
+                with parallel(workers=2, transport="pool"):
+                    with pytest.raises(JobCancelledError):
+                        run_tasks(time.sleep, [30.0] * 4)
+        finally:
+            timer.cancel()
+        deadline = time.monotonic() + 2.0
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert multiprocessing.active_children() == []
 
     def test_subprocess_cancelled_and_workers_reaped(self):
         reg = get_registry()

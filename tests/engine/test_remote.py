@@ -4,9 +4,11 @@ Two layers of tests:
 
 * **Coordinator-level** (no HTTP, no subprocesses): drive
   :class:`~repro.engine.remote.FleetCoordinator` register/grant/deliver
-  directly with hand-built frames, so the inherently racy paths — the
-  straggler digest agreement/divergence, the circuit breaker, lease
-  expiry bookkeeping — are tested deterministically.
+  directly with hand-built frames and read what the remote carrier reports
+  to the lifecycle (:func:`~repro.engine.resilience.run_units`), so the
+  inherently racy paths — the straggler digest agreement/divergence,
+  the circuit breaker, lease expiry bookkeeping — are tested
+  deterministically.
 * **Fleet-level chaos** (real worker subprocesses over real HTTP):
   auto-spawned workers execute ensembles while injected faults kill,
   stall, and partition them mid-run; every test's only oracle is
@@ -15,7 +17,6 @@ Two layers of tests:
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 import threading
 import time
@@ -29,7 +30,7 @@ from repro.engine.cache import seal_payload
 from repro.engine.cancellation import NULL_SCOPE, CancelScope, cancel_scope
 from repro.engine.environment import environment_fingerprint
 from repro.engine.metrics import get_registry
-from repro.engine.resilience import ResiliencePolicy
+from repro.engine.resilience import Carrier, ResiliencePolicy, run_units
 from repro.engine.transport import available_transports, get_transport, resolve_transport
 from repro.errors import JobCancelledError, TransportError, WorkerRejectedError
 
@@ -58,24 +59,7 @@ def failing(x):
     raise ValueError(f"task {x} always fails")
 
 
-# -- fixtures ----------------------------------------------------------------
-
-
-@pytest.fixture
-def fleet(monkeypatch):
-    """Configure fast fleet knobs; the coordinator starts lazily on the
-    first remote submit and is torn down (with its spawned workers)
-    after the test."""
-
-    def _configure(spawn=2, lease=1.5, connect_wait=15.0, **env):
-        monkeypatch.setenv("REPRO_REMOTE_SPAWN", str(spawn))
-        monkeypatch.setenv("REPRO_REMOTE_LEASE", str(lease))
-        monkeypatch.setenv("REPRO_REMOTE_CONNECT_WAIT", str(connect_wait))
-        for key, value in env.items():
-            monkeypatch.setenv(key, str(value))
-
-    yield _configure
-    remote.shutdown_fleet()
+# -- helpers -----------------------------------------------------------------
 
 
 def counter(name: str) -> int:
@@ -94,7 +78,6 @@ def test_remote_transport_is_registered_lazily():
     transport = get_transport("remote")
     assert transport.name == "remote"
     assert transport.isolates_tasks
-    assert transport.supports_fault_injection
     assert resolve_transport("remote", workers=4) is transport
 
 
@@ -145,7 +128,7 @@ def test_unknown_worker_gets_410():
     assert coord.deliver("ghost", "u1", b"x")[0] == 410
 
 
-# -- coordinator-level: the straggler digest race ----------------------------
+# -- coordinator + carrier: what the lifecycle hears from the fleet ----------
 
 
 def _registered_coordinator(**config):
@@ -155,61 +138,85 @@ def _registered_coordinator(**config):
     return coord
 
 
-def test_straggler_agreement_is_counted_not_fatal():
+def _carrier_on(coord):
+    """The remote carrier bound to an in-process coordinator (no HTTP)."""
+    return lambda workers: remote._RemoteCarrier(workers, coordinator=coord)
+
+
+def _scripted(rounds):
+    """A carrier replaying fixed outcome lists, one list per wait()."""
+
+    class Scripted(Carrier):
+        def dispatch(self, index, fn, task):
+            return True
+
+        def wait(self, timeout):
+            return rounds.pop(0) if rounds else []
+
+        def abandon(self, indices):
+            pass
+
+    return Scripted
+
+
+def _replica_answers(first, second):
+    """Outcomes the carrier reports when a unit is answered by its lease
+    holder and then, for the same unit, by a straggler."""
     coord = _registered_coordinator(lease_seconds=30.0)
-    batch = coord.submit_batch(square, [7], ResiliencePolicy(), None, NULL_SCOPE, 2)
+    carrier = _carrier_on(coord)(2)
+    carrier.dispatch(0, square, 7)
     _, answer = coord.grant("w1")
     unit_id = answer["unit"]["id"]
-    coord.deliver("w1", unit_id, ok_frame(49))
-    done = coord.pump(batch)
-    assert done == [(0, 49)]
+    coord.deliver("w1", unit_id, ok_frame(first))
+    coord.deliver("w2", unit_id, ok_frame(second))
+    return [o for o in carrier.wait(0) if o[1] == "ok"]
+
+
+def test_straggler_agreement_is_counted_not_fatal():
+    answers = _replica_answers(49, 49)
+    assert [(i, v) for i, _, v, _ in answers] == [(0, 49), (0, 49)]
     before = counter("engine.remote_digest_agreements")
-    # The late replica of the same unit produces a bit-identical frame.
-    coord.deliver("w2", unit_id, ok_frame(49))
-    assert coord.pump(batch) == []  # no double-count
-    assert batch.failure is None
+    out = run_units(square, [7], workers=2, carrier=_scripted([answers]))
+    assert out == [49]  # first wins, no double-count
     assert counter("engine.remote_digest_agreements") == before + 1
 
 
 def test_straggler_divergence_fails_the_batch():
-    coord = _registered_coordinator(lease_seconds=30.0)
-    batch = coord.submit_batch(square, [7], ResiliencePolicy(), None, NULL_SCOPE, 2)
-    _, answer = coord.grant("w1")
-    unit_id = answer["unit"]["id"]
-    coord.deliver("w1", unit_id, ok_frame(49))
-    coord.pump(batch)
     # A straggler that *disagrees* means the determinism contract broke:
     # the batch must fail loudly, never silently pick a winner.
-    coord.deliver("w2", unit_id, ok_frame(50))
-    coord.pump(batch)
-    assert isinstance(batch.failure, TransportError)
-    assert "divergent" in str(batch.failure)
+    answers = _replica_answers(49, 50)
+    with pytest.raises(TransportError, match="divergent"):
+        run_units(square, [7], workers=2, carrier=_scripted([answers]))
 
 
 def test_corrupt_frame_is_requeued_not_trusted():
     coord = _registered_coordinator(lease_seconds=30.0)
-    batch = coord.submit_batch(square, [3], ResiliencePolicy(), None, NULL_SCOPE, 2)
+    carrier = _carrier_on(coord)(2)
+    carrier.dispatch(0, square, 3)
     _, answer = coord.grant("w1")
     unit_id = answer["unit"]["id"]
+    before = counter("engine.remote_corrupt_frames")
     coord.deliver("w1", unit_id, b"torn garbage, no integrity trailer")
-    assert coord.pump(batch) == []
-    # The unit went back to pending and is re-grantable.
+    assert [o[1] for o in carrier.wait(0)] == ["started", "lost"]
+    assert counter("engine.remote_corrupt_frames") == before + 1
+    # The lifecycle re-dispatches a lost unit; it is re-grantable.
+    carrier.dispatch(0, square, 3)
     _, answer = coord.grant("w2")
     assert answer["unit"] is not None and answer["unit"]["id"] == unit_id
-
-
-# -- coordinator-level: leases, breaker, re-dispatch -------------------------
 
 
 def test_expired_lease_redispatches_and_trips_breaker():
     coord = _registered_coordinator(
         lease_seconds=0.05, breaker_failures=1, breaker_backoff=30.0
     )
-    batch = coord.submit_batch(square, [5], ResiliencePolicy(), None, NULL_SCOPE, 2)
+    carrier = _carrier_on(coord)(2)
+    carrier.dispatch(0, square, 5)
     _, answer = coord.grant("w1")
     assert answer["unit"] is not None
     time.sleep(0.1)  # outlive the lease without a heartbeat
     coord.tick()
+    assert [o[1] for o in carrier.wait(0)] == ["started", "lost"]
+    carrier.dispatch(0, square, 5)
     # w1's breaker opened: it gets nothing even though the unit is free.
     _, answer = coord.grant("w1")
     assert answer["unit"] is None
@@ -217,12 +224,13 @@ def test_expired_lease_redispatches_and_trips_breaker():
     _, answer = coord.grant("w2")
     assert answer["unit"] is not None
     coord.deliver("w2", answer["unit"]["id"], ok_frame(25))
-    assert coord.pump(batch) == [(0, 25)]
+    assert [(i, v) for i, k, v, _ in carrier.wait(0) if k == "ok"] == [(0, 25)]
 
 
 def test_heartbeat_renews_leases():
     coord = _registered_coordinator(lease_seconds=0.3)
-    batch = coord.submit_batch(square, [5], ResiliencePolicy(), None, NULL_SCOPE, 2)
+    carrier = _carrier_on(coord)(2)
+    carrier.dispatch(0, square, 5)
     _, answer = coord.grant("w1")
     unit_id = answer["unit"]["id"]
     for _ in range(4):  # keep beating through several lease windows
@@ -233,38 +241,93 @@ def test_heartbeat_renews_leases():
     _, answer = coord.grant("w2")
     assert answer["unit"] is None
     coord.deliver("w1", unit_id, ok_frame(25))
-    assert coord.pump(batch) == [(0, 25)]
+    assert [o[1] for o in carrier.wait(0)] == ["started", "ok"]
+
+
+def test_undelivered_result_is_lost_at_the_next_grant():
+    # A worker whose result POST failed keeps heartbeating; its next
+    # lease request must report the unit lost, not renew it forever.
+    coord = _registered_coordinator(lease_seconds=30.0)
+    carrier = _carrier_on(coord)(2)
+    carrier.dispatch(0, square, 5)
+    carrier.dispatch(1, square, 6)
+    _, answer = coord.grant("w1")
+    assert answer["unit"] is not None
+    assert coord.heartbeat("w1")[0] == 200
+    before = counter("engine.remote_results_lost")
+    _, answer = coord.grant("w1")
+    assert answer["unit"] is not None  # the next unit, index 1
+    assert [(i, k) for i, k, _, _ in carrier.wait(0)] == [
+        (0, "started"), (1, "started"), (0, "lost"),
+    ]
+    assert counter("engine.remote_results_lost") == before + 1
+
+
+def test_straggler_answer_withdraws_its_queued_replacement():
+    coord = _registered_coordinator(lease_seconds=0.05)
+    carrier = _carrier_on(coord)(2)
+    carrier.dispatch(0, square, 5)
+    _, answer = coord.grant("w1")
+    unit_id = answer["unit"]["id"]
+    time.sleep(0.1)
+    coord.tick()
+    assert [o[1] for o in carrier.wait(0)] == ["started", "lost"]
+    carrier.dispatch(0, square, 5)  # the lifecycle re-dispatches it
+    coord.deliver("w1", unit_id, ok_frame(25))  # the straggler answers
+    assert [(i, k, v) for i, k, v, _ in carrier.wait(0)] == [(0, "ok", 25)]
+    # Nobody recomputes a unit that already has its answer.
+    _, answer = coord.grant("w2")
+    assert answer["unit"] is None
+
+
+class _FleetDouble:
+    """Registered workers that lease every unit and answer with
+    ``frame`` (``None``: never answer, so every lease expires)."""
+
+    def __init__(self, coord, frame):
+        self.stop = threading.Event()
+
+        def loop():
+            while not self.stop.is_set():
+                for worker in ("w1", "w2"):
+                    _, answer = coord.grant(worker)
+                    if answer.get("unit") and frame is not None:
+                        coord.deliver(worker, answer["unit"]["id"], frame)
+                time.sleep(0.005)
+
+        self.thread = threading.Thread(target=loop, daemon=True)
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.stop.set()
+        self.thread.join()
 
 
 def test_redispatch_cap_degrades_unit_to_local():
-    coord = _registered_coordinator(lease_seconds=0.04, max_redispatch=1)
-    batch = coord.submit_batch(square, [6], ResiliencePolicy(), None, NULL_SCOPE, 2)
-    for worker in ("w1", "w2"):
-        _, answer = coord.grant(worker)
-        if answer["unit"] is None:  # breaker may already gate w2
-            continue
-        time.sleep(0.08)
-        coord.tick()
-    locals_ = coord.take_local(batch)
-    assert [u.index for u in locals_] == [0]
+    coord = _registered_coordinator(lease_seconds=0.04)
+    policy = ResiliencePolicy(max_retries=1, backoff_base=0.0)
+    before = counter("engine.degraded_sequential")
+    with _FleetDouble(coord, frame=None):
+        out = run_units(square, [6], workers=1, policy=policy, carrier=_carrier_on(coord))
+    # Two lost leases spent the unit's retries: it ran in the parent.
+    assert out == [36]
+    assert counter("engine.degraded_sequential") == before + 1
 
 
 def test_task_error_retries_then_fails_batch():
     coord = _registered_coordinator(lease_seconds=30.0)
-    policy = ResiliencePolicy(max_retries=1)
-    batch = coord.submit_batch(square, [4], policy, None, NULL_SCOPE, 2)
+    policy = ResiliencePolicy(max_retries=1, backoff_base=0.0)
     err = seal_payload(
         pickle.dumps(("err", ValueError("boom")), protocol=pickle.HIGHEST_PROTOCOL)
     )
-    _, answer = coord.grant("w1")
-    coord.deliver("w1", answer["unit"]["id"], err)
-    assert coord.pump(batch) == []
-    assert batch.failure is None  # first failure is retried
-    _, answer = coord.grant("w2")
-    assert answer["unit"] is not None
-    coord.deliver("w2", answer["unit"]["id"], err)
-    coord.pump(batch)
-    assert isinstance(batch.failure, ValueError)  # retries exhausted
+    before = counter("engine.retries")
+    with _FleetDouble(coord, frame=err):
+        with pytest.raises(ValueError, match="boom"):
+            run_units(square, [4], workers=1, policy=policy, carrier=_carrier_on(coord))
+    assert counter("engine.retries") == before + 1  # first failure retried
 
 
 # -- fleet-level: the happy path and every chaos kind ------------------------

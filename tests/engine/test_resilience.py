@@ -8,6 +8,9 @@ interruption), and assert the recovered result is bit-identical
 (``assert_array_equal``, not ``allclose``) to the reference.
 """
 
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -19,13 +22,20 @@ from repro.engine import (
     faults,
     get_cache,
     get_registry,
+    get_transport,
     parallel,
     run_tasks,
     seal_payload,
     spawn_seeds,
     unseal_payload,
 )
-from repro.engine.resilience import CheckpointStore, ResiliencePolicy, resolve_policy
+from repro.engine.resilience import (
+    Carrier,
+    CheckpointStore,
+    ResiliencePolicy,
+    resolve_policy,
+    run_units,
+)
 from repro.errors import ConvergenceError, TaskTimeoutError
 from repro.ir.backends.ssa import ensemble_moments, reaction_run
 from repro.pepa.ctmc import ctmc_of
@@ -93,21 +103,23 @@ class TestFaultHarness:
 
 
 class TestSupervisedRetries:
-    def test_task_error_retried_order_preserved(self):
+    """The lifecycle outcomes every isolating carrier shares."""
+
+    def test_task_error_retried_order_preserved(self, carrier):
         reg = get_registry()
         before = reg.counter("engine.retries")
         with faults.inject(faults.FaultSpec("task_error", task_index=2, times=2)) as plan:
             with parallel(workers=2, max_retries=3):
-                out = run_tasks(_square, list(range(6)))
+                out = run_tasks(_square, list(range(6)), transport=carrier)
         assert out == [x * x for x in range(6)]
         assert plan.fired() == 2
         assert reg.counter("engine.retries") == before + 2
 
-    def test_retry_budget_exhaustion_raises(self):
+    def test_retry_budget_exhaustion_raises(self, carrier):
         with faults.inject(faults.FaultSpec("task_error", task_index=0, times=9)):
             with parallel(workers=2, max_retries=1):
                 with pytest.raises(faults.InjectedFaultError):
-                    run_tasks(_square, [1, 2, 3])
+                    run_tasks(_square, [1, 2, 3], transport=carrier)
 
     def test_timeout_retried_then_recovers(self):
         reg = get_registry()
@@ -121,13 +133,21 @@ class TestSupervisedRetries:
         assert plan.fired() == 1
         assert reg.counter("engine.task_timeouts") == before + 1
 
-    def test_timeout_exhaustion_raises_timeout_error(self):
+    def test_timeout_exhaustion_raises_timeout_error(self, carrier):
+        # The deadline must cover a cold subprocess worker's start-up.
         with faults.inject(
             faults.FaultSpec("task_timeout", task_index=0, sleep=5.0, times=5)
         ):
-            with parallel(workers=2, task_timeout=0.3, max_retries=1):
-                with pytest.raises(TaskTimeoutError, match="deadline"):
-                    run_tasks(_square, [1, 2])
+            with parallel(workers=2, task_timeout=1.0, max_retries=1):
+                with pytest.raises(TaskTimeoutError, match="task 0 exceeded .* deadline"):
+                    run_tasks(_square, [1, 2], transport=carrier)
+
+    def test_unpicklable_task_runs_in_parent(self, carrier):
+        reg = get_registry()
+        before = reg.counter("engine.pickle_fallback")
+        out = get_transport(carrier).run(lambda x: x + 1, [1, 2], workers=2)
+        assert out == [2, 3]
+        assert reg.counter("engine.pickle_fallback") == before + 2
 
     def test_worker_crash_rebuilds_pool(self):
         reg = get_registry()
@@ -142,14 +162,80 @@ class TestSupervisedRetries:
     def test_repeated_crashes_degrade_to_sequential(self):
         reg = get_registry()
         before = reg.counter("engine.degraded_sequential")
-        # More crashes than max_pool_rebuilds allows: the parent must
-        # finish the batch itself.  Faults fire only inside pool
-        # workers, so the degraded path is unperturbed by construction.
+        # More broken pools than the pool carrier's max_lost_rounds
+        # allows: the parent must finish the batch itself.  Faults fire
+        # only inside pool workers, so the degraded path is unperturbed
+        # by construction.
         with faults.inject(faults.FaultSpec("worker_crash", times=50)):
             with parallel(workers=2):
                 out = run_tasks(_square, list(range(8)))
         assert out == [x * x for x in range(8)]
         assert reg.counter("engine.degraded_sequential") == before + 1
+
+    def test_pool_that_keeps_dying_is_rebuilt_a_bounded_number_of_times(self):
+        # Every broken pool charges each unit in flight a retry, so
+        # without a batch-level cap a large batch would restart the pool
+        # about n * (max_retries + 1) / workers times before finishing.
+        reg = get_registry()
+        rebuilds = reg.counter("engine.pool_rebuilds")
+        degraded = reg.counter("engine.degraded_sequential")
+        with faults.inject(faults.FaultSpec("worker_crash", times=1000)):
+            with parallel(workers=2):
+                out = run_tasks(_square, list(range(40)), transport="pool")
+        assert out == [x * x for x in range(40)]
+        assert reg.counter("engine.pool_rebuilds") - rebuilds <= 3
+        assert reg.counter("engine.degraded_sequential") == degraded + 1
+
+    def test_backoff_does_not_hold_up_other_units(self):
+        events = []
+        rounds = [
+            [(0, "err", ValueError("boom"), None)],
+            [(1, "ok", 1, None)],
+            [(0, "ok", 0, None)],
+        ]
+
+        class Recording(Carrier):
+            def dispatch(self, index, fn, task):
+                events.append(("dispatch", index, time.monotonic()))
+                return True
+
+            def wait(self, timeout):
+                events.append(("wait", None, time.monotonic()))
+                return rounds.pop(0) if rounds else []
+
+            def abandon(self, indices):
+                pass
+
+        policy = ResiliencePolicy(max_retries=1, backoff_base=0.5)
+        assert run_units(abs, [0, 1], workers=2, policy=policy, carrier=Recording) == [0, 1]
+        waits = [at for kind, _, at in events if kind == "wait"]
+        redispatch = [at for kind, i, at in events if kind == "dispatch" and i == 0][1]
+        # Unit 1's answer is collected at once; unit 0 waits its backoff.
+        assert waits[1] - waits[0] < 0.25
+        assert redispatch - waits[0] >= 0.5
+
+
+def _no_pool_worker_survives(seconds=2.0):
+    deadline = time.monotonic() + seconds
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return multiprocessing.active_children() == []
+
+
+class TestPoolAbandonReapsWorkers:
+    """Regression: abandoning a pool must terminate its workers.
+
+    The pool was shut down before its process table was read, and
+    shutdown() empties that table, so a timed-out unit's worker kept
+    running its stalled task long after the batch had failed.
+    """
+
+    def test_timed_out_pool_leaves_no_worker_running(self):
+        with faults.inject(faults.FaultSpec("task_timeout", sleep=30.0, times=9)):
+            with parallel(workers=2, task_timeout=0.3, max_retries=1):
+                with pytest.raises(TaskTimeoutError):
+                    run_tasks(_square, [1, 2], transport="pool")
+        assert _no_pool_worker_survives()
 
 
 class TestEnsembleBitIdentity:
@@ -396,10 +482,19 @@ class TestPolicyResolution:
         assert policy.max_retries == 0
 
     def test_malformed_environment_warns(self, monkeypatch):
+        from repro.engine.remote import FleetConfig
+        from repro.service.server import ServiceConfig
+
         monkeypatch.setenv("REPRO_TASK_TIMEOUT", "soon")
         with pytest.warns(RuntimeWarning, match="REPRO_TASK_TIMEOUT"):
             policy = resolve_policy()
         assert policy.task_timeout is None
+        monkeypatch.setenv("REPRO_REMOTE_LEASE", "long")
+        with pytest.warns(RuntimeWarning, match="REPRO_REMOTE_LEASE"):
+            assert FleetConfig.from_env().lease_seconds == 15.0
+        monkeypatch.setenv("REPRO_SERVE_WORKERS", "many")
+        with pytest.warns(RuntimeWarning, match="REPRO_SERVE_WORKERS"):
+            assert ServiceConfig.from_env().workers == 2
 
     def test_invalid_policy_rejected(self):
         with pytest.raises(ValueError):

@@ -78,22 +78,14 @@ class TestSelection:
                 pass
 
     def test_capability_flags(self):
-        inline = get_transport("inline")
-        assert not inline.isolates_tasks
-        assert not inline.fresh_process_per_task
-        pool = get_transport("pool")
-        assert pool.isolates_tasks and pool.supports_fault_injection
-        assert not pool.fresh_process_per_task
-        sub = get_transport("subprocess")
-        assert sub.isolates_tasks and sub.supports_fault_injection
-        assert sub.fresh_process_per_task
+        assert not get_transport("inline").isolates_tasks
+        for name in ("pool", "subprocess", "remote"):
+            assert get_transport(name).isolates_tasks, name
 
 
 class TestSubmitCollect:
     def test_submit_then_collect_in_order(self):
-        batch = get_transport("inline").submit_chunks(_square, [1, 2, 3])
-        assert batch.n_tasks == 3
-        assert batch.collect() == [1, 4, 9]
+        assert get_transport("inline").run(_square, [1, 2, 3]) == [1, 4, 9]
 
     def test_on_result_sees_every_index(self):
         seen = []
@@ -146,13 +138,6 @@ class TestSubprocessWorkers:
             with parallel(task_timeout=0.5, max_retries=1):
                 with pytest.raises(TaskTimeoutError, match="deadline"):
                     run_tasks(_square, [1], transport="subprocess")
-
-    def test_unpicklable_task_runs_in_parent(self):
-        reg = get_registry()
-        before = reg.counter("engine.pickle_fallback")
-        out = run_tasks(lambda x: x + 1, [1, 2], transport="subprocess")
-        assert out == [2, 3]
-        assert reg.counter("engine.pickle_fallback") == before + 1
 
 
 class TestWorkerReaping:

@@ -276,6 +276,73 @@ class TestOverload:
         assert excinfo.value.retry_after >= 0.1
 
 
+class TestSubmitRecordsBeforeQueueing:
+    """Regression: a job id must never be takeable before its record
+    exists.  The id used to be queued first; a runner that took it in
+    the gap found no record, skipped it, and the job stayed queued
+    forever."""
+
+    def test_runner_never_sees_an_unrecorded_job(self, tmp_path):
+        service = JobService(
+            tmp_path / "svc", ServiceConfig(workers=1, drain_timeout=2.0),
+            executor=FakeExecutor(),
+        )
+        looked_up = threading.Event()
+        real_get, real_submit = service.store.get, service.store.submit
+
+        def get(job_id):
+            record = real_get(job_id)
+            if threading.current_thread().name.startswith("repro-job-worker"):
+                looked_up.set()
+            return record
+
+        def slow_submit(*args, **kwargs):
+            # Hold the record back until a runner has looked the id up —
+            # or for a second, if no runner can take it before it exists.
+            looked_up.wait(timeout=1.0)
+            return real_submit(*args, **kwargs)
+
+        service.store.get, service.store.submit = get, slow_submit
+        service.start()
+        try:
+            status, body, _ = service.submit({"spec": make_spec().to_dict()})
+            assert status == 202
+            deadline = time.monotonic() + 10.0
+            while (
+                real_get(body["job_id"]).status != "done"
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.02)
+            assert real_get(body["job_id"]).status == "done"
+        finally:
+            service.drain(timeout=2.0)
+
+    @pytest.mark.parametrize("kind, code", [("queue_overflow", 429),
+                                            ("tenant_flood", 429)])
+    def test_refused_submission_leaves_no_record(self, tmp_path, kind, code):
+        from repro.engine import faults
+
+        service = JobService(tmp_path / "svc", ServiceConfig(workers=1))
+        spec = make_spec()
+        with faults.inject(faults.FaultSpec(kind)):
+            status, _, _ = service.submit({"spec": spec.to_dict()})
+        assert status == code
+        assert service.store.get(spec.job_id) is None
+        assert spec.job_id not in service.store.journal.path.read_text()
+
+    def test_shed_submission_leaves_no_record(self, tmp_path):
+        service = JobService(
+            tmp_path / "svc",
+            ServiceConfig(queue_capacity=2, workers=1, shed_threshold=0.5),
+        )
+        assert service.submit({"spec": make_spec("1.0").to_dict()})[0] == 202
+        spec = make_spec("2.0")
+        status, _, _ = service.submit({"spec": spec.to_dict(), "priority": 9})
+        assert status == 503
+        assert service.store.get(spec.job_id) is None
+        assert spec.job_id not in service.store.journal.path.read_text()
+
+
 class TestDrain:
     def test_drain_refuses_submissions_and_seals_journal(self, live):
         executor = FakeExecutor()
