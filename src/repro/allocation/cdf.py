@@ -25,6 +25,7 @@ from repro.engine import run_manifest
 from repro.engine.cache import Uncacheable, cached, canonical_key
 from repro.engine.executor import run_tasks
 from repro.engine.metrics import get_registry
+from repro.numerics.lu import ORDERING
 from repro.numerics.quantile import cdf_quantile
 from repro.pepa.ctmc import ctmc_of
 from repro.pepa.passage import passage_time_cdf, passage_time_mean
@@ -104,7 +105,9 @@ def finishing_time_cdf(
     with get_registry().timer("finishing_time_cdf"):
         result, status = cached(
             "finishing_cdf",
-            (mapping, machine, workload, times, horizon_means, grid_points, method),
+            # The mean is a hitting-time LU solve: the ordering is keyed.
+            (mapping, machine, workload, times, horizon_means, grid_points, method,
+             ORDERING),
             lambda: _compute_finishing_time(
                 mapping, machine, workload, times, horizon_means, grid_points, method
             ),

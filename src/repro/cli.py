@@ -389,14 +389,23 @@ def _solve_command(args: argparse.Namespace) -> int:
         return _solve_dispatch(args, ir, labels)
 
 
-def _print_diagnostics() -> None:
-    """Print the trust layer's diagnostics for the last verified solve."""
+def _print_diagnostics(steady_ir=None) -> None:
+    """Print the trust layer's diagnostics for the last verified solve.
+
+    ``steady_ir`` is the chain of a steady solve: when its backend was
+    iterative, there was no factorization to read the condition number
+    from, so it is estimated here, on request (one extra sparse LU).
+    """
     from repro.ir import guards
 
     diagnostics = guards.last_diagnostics()
     if not diagnostics:
         print("diagnostics: (none recorded)")
         return
+    if steady_ir is not None and diagnostics.get("condition_estimate") is None:
+        from repro.numerics.diagnostics import condition_estimate
+
+        diagnostics["condition_estimate"] = condition_estimate(steady_ir.generator)
     print("diagnostics:")
     for key in sorted(diagnostics):
         value = diagnostics[key]
@@ -449,7 +458,7 @@ def _solve_dispatch(args: argparse.Namespace, ir, labels) -> int:
         )
         _print_top(labels, ens.mean[-1], args.top)
     if args.diagnostics:
-        _print_diagnostics()
+        _print_diagnostics(ir if args.capability == "steady" else None)
     if args.emit_manifest:
         from repro.manifest import last_manifest
 

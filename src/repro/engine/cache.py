@@ -24,6 +24,9 @@ Environment knobs::
     REPRO_CACHE=off       disable caching entirely
     REPRO_CACHE_DIR=path  enable the on-disk layer
     REPRO_CACHE_SIZE=n    in-memory LRU capacity (default 256 entries)
+
+The memory tier's byte budget (``max_bytes``, default 32 MiB) is set
+through :func:`configure_cache`.
 """
 
 from __future__ import annotations
@@ -246,11 +249,27 @@ def unseal_payload(blob: bytes) -> bytes | None:
 # The cache proper
 # ---------------------------------------------------------------------------
 
+#: Default in-memory byte budget: a 2,048-state derived chain pickles to
+#: about 0.75 MB, so an entry count alone lets the LRU hold ~190 MB.
+DEFAULT_MAX_BYTES = 32 * 2**20
+
+
+def _check_capacity(max_entries: int | None, max_bytes: int | None) -> None:
+    if max_entries is not None and max_entries < 1:
+        raise ValueError("cache needs at least one entry of capacity")
+    if max_bytes is not None and max_bytes < 0:
+        raise ValueError("cache byte budget must be non-negative")
+
+
 class ResultCache:
     """In-memory LRU of pickled results with an optional on-disk layer.
 
-    Hits always unpickle a fresh copy, so cached results can never be
-    corrupted by callers mutating what they were handed back.
+    The memory tier holds at most ``max_entries`` payloads totalling at
+    most ``max_bytes`` pickle bytes, evicting least-recently-used entries
+    until both bounds hold; a payload larger than the whole byte budget
+    skips the memory tier (the disk tier, when configured, still keeps
+    it).  Hits always unpickle a fresh copy, so cached results can never
+    be corrupted by callers mutating what they were handed back.
     """
 
     def __init__(
@@ -258,13 +277,15 @@ class ResultCache:
         max_entries: int = 256,
         disk_dir: str | os.PathLike | None = None,
         enabled: bool = True,
+        max_bytes: int = DEFAULT_MAX_BYTES,
     ) -> None:
-        if max_entries < 1:
-            raise ValueError("cache needs at least one entry of capacity")
+        _check_capacity(max_entries, max_bytes)
         self._lock = threading.RLock()
         self._mem: OrderedDict[str, bytes] = OrderedDict()
+        self._mem_bytes = 0
         self._tmp_counter = itertools.count()
         self.max_entries = max_entries
+        self.max_bytes = max_bytes
         self.disk_dir = Path(disk_dir) if disk_dir else None
         self.enabled = enabled
 
@@ -292,7 +313,7 @@ class ResultCache:
         except Exception:
             reg.increment("cache.corrupt_entries")
             with self._lock:
-                self._mem.pop(key, None)
+                self._drop_mem(key)
             reg.increment("cache.miss")
             return _MISS
         reg.increment("cache.hit")
@@ -358,10 +379,25 @@ class ResultCache:
                 tmp.unlink(missing_ok=True)
 
     def _store_mem(self, key: str, payload: bytes) -> None:
+        self._drop_mem(key)
+        if len(payload) > self.max_bytes:
+            return
         self._mem[key] = payload
-        self._mem.move_to_end(key)
-        while len(self._mem) > self.max_entries:
-            self._mem.popitem(last=False)
+        self._mem_bytes += len(payload)
+        self._evict()
+
+    def _drop_mem(self, key: str) -> None:
+        payload = self._mem.pop(key, None)
+        if payload is not None:
+            self._mem_bytes -= len(payload)
+
+    def _evict(self) -> None:
+        """Drop least-recently-used entries until both bounds hold."""
+        while self._mem and (
+            len(self._mem) > self.max_entries or self._mem_bytes > self.max_bytes
+        ):
+            _key, payload = self._mem.popitem(last=False)
+            self._mem_bytes -= len(payload)
 
     def _disk_path(self, key: str) -> Path:
         return self.disk_dir / f"{key}.pkl"
@@ -371,6 +407,7 @@ class ResultCache:
     def clear(self, disk: bool = False) -> None:
         with self._lock:
             self._mem.clear()
+            self._mem_bytes = 0
         if disk and self.disk_dir is not None and self.disk_dir.is_dir():
             for pattern in ("*.pkl", "*.corrupt", "*.envmismatch", "*.tmp"):
                 for path in self.disk_dir.glob(pattern):
@@ -382,8 +419,11 @@ class ResultCache:
 
     def stats(self) -> dict:
         reg = get_registry()
+        with self._lock:
+            entries, nbytes = len(self._mem), self._mem_bytes
         return {
-            "entries": len(self),
+            "entries": entries,
+            "bytes": nbytes,
             "hits": reg.counter("cache.hit"),
             "misses": reg.counter("cache.miss"),
             "disk_hits": reg.counter("cache.disk_hit"),
@@ -417,16 +457,21 @@ def configure_cache(
     max_entries: int | None = None,
     disk_dir: str | os.PathLike | None = _UNSET,
     enabled: bool | None = None,
+    max_bytes: int | None = None,
 ) -> ResultCache:
     """Adjust the process-wide cache in place; returns it.
 
     Passing ``disk_dir=None`` explicitly *disables* the on-disk layer
-    (leaving the argument out keeps the current setting).
+    (leaving the argument out keeps the current setting).  Shrinking
+    ``max_entries`` or ``max_bytes`` evicts at once.
     """
-    if max_entries is not None:
-        if max_entries < 1:
-            raise ValueError("cache needs at least one entry of capacity")
-        _CACHE.max_entries = max_entries
+    _check_capacity(max_entries, max_bytes)
+    with _CACHE._lock:
+        if max_entries is not None:
+            _CACHE.max_entries = max_entries
+        if max_bytes is not None:
+            _CACHE.max_bytes = max_bytes
+        _CACHE._evict()
     if disk_dir is not _UNSET:
         _CACHE.disk_dir = Path(disk_dir) if disk_dir is not None else None
     if enabled is not None:

@@ -21,11 +21,11 @@ Sentinels (:func:`verify`)
 
 Diagnostics
     Each verified solve also yields a measurement dictionary (residual
-    norms, iteration counts, 1-norm condition estimate, uniformization
-    truncation mass, integrator statistics) attached to the result's
-    ``meta["diagnostics"]`` when it has a ``meta`` dict, retrievable via
-    :func:`last_diagnostics` otherwise, and surfaced by ``repro solve
-    --diagnostics``.
+    norms, iteration counts, the direct solvers' 1-norm condition
+    number, uniformization truncation mass, integrator statistics)
+    attached to the result's ``meta["diagnostics"]`` when it has a
+    ``meta`` dict, retrievable via :func:`last_diagnostics` otherwise,
+    and surfaced by ``repro solve --diagnostics``.
 
 Shadow verification
     The cheap production analogue of the paper's container-vs-native
@@ -329,15 +329,6 @@ def _rate_scale(ir: MarkovIR) -> float:
     return max(1.0, float(diag_abs.max()) if diag_abs.size else 1.0)
 
 
-def _condition_memo(ir: MarkovIR) -> float | None:
-    memo = getattr(ir, "_trust_condition", "unset")
-    if memo != "unset":
-        return memo
-    kappa = diag.condition_estimate(ir.generator)
-    object.__setattr__(ir, "_trust_condition", kappa)
-    return kappa
-
-
 def _check_steady(capability, backend, ir, result, params) -> dict:
     _check_generator(capability, backend, ir)
     pi = np.asarray(result.pi, dtype=np.float64)
@@ -365,7 +356,10 @@ def _check_steady(capability, backend, ir, result, params) -> dict:
         "residual": residual,
         "reported_residual": float(getattr(result, "residual", math.nan)),
         "iterations": int(getattr(result, "iterations", 0)),
-        "condition_estimate": _condition_memo(ir),
+        # Read from the solver's own factorization; the iterative
+        # backends have none and report None (``repro solve
+        # --diagnostics`` estimates it for them on request).
+        "condition_estimate": getattr(result, "condition", None),
         "mass_error": simplex["mass_error"],
         "min_probability": float(pi.min()) if pi.size else 0.0,
         "n_states": ir.n_states,

@@ -21,8 +21,8 @@ generator well-formedness like any other Markov result.
 accepts the IR's type, and wraps the call in the engine's metrics timer
 (``ir.<capability>``) and — for deterministic capabilities — the
 content-addressed cache under the uniform namespace ``ir.<capability>``,
-keyed on ``(IR, backend, parameters)``.  Capabilities that already cache
-at a lower level (``steady`` delegates to
+keyed on ``(IR, backend, parameters, LU ordering)``.  Capabilities that
+already cache at a lower level (``steady`` delegates to
 :func:`repro.numerics.steady_state`) or that must not cache (``ssa``
 ensembles feed the engine's parallel fan-out and batch counters) opt
 out per registration.
@@ -71,6 +71,7 @@ from repro.errors import (
     SingularGeneratorError,
 )
 from repro.ir import guards
+from repro.numerics.lu import ORDERING
 
 __all__ = [
     "CAPABILITIES",
@@ -218,9 +219,11 @@ def _execute(be: _Backend, ir, params: dict):
     guards.reset_notes()
     with reg.timer(f"ir.{be.capability}"):
         if be.cache and getattr(ir, "token", True) is not None:
+            # Passage means come from a sparse LU, whose ordering decides
+            # their low-order bits: part of the key.
             result, status = cached(
                 f"ir.{be.capability}",
-                (ir, be.name, params),
+                (ir, be.name, params, ORDERING),
                 lambda: be.func(ir, **params),
             )
         else:

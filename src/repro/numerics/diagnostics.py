@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
+from repro.engine.metrics import get_registry
+from repro.numerics.lu import factorize
 from repro.numerics.poisson import poisson_truncation_point
 
 __all__ = [
     "CONDITION_ESTIMATE_LIMIT",
     "steady_residual",
+    "norm1",
     "condition_estimate",
     "simplex_defect",
     "monotonicity_defect",
@@ -31,9 +33,13 @@ __all__ = [
     "conservation_defect",
 ]
 
-#: Condition estimation factorizes the replaced steady-state system; skip
-#: it above this state count (the estimate would cost as much as a solve).
+#: When :func:`condition_estimate` has to factorize the replaced
+#: steady-state system itself (no LU handed in), it skips systems above
+#: this state count: the factorization would cost as much as a solve.
 CONDITION_ESTIMATE_LIMIT = 5000
+
+#: Hager-Higham iterations after the first (LAPACK ``xLACN2``'s ITMAX).
+_NORM1_ITERATIONS = 4
 
 
 def steady_residual(Q: sp.spmatrix, pi: np.ndarray) -> float:
@@ -49,43 +55,93 @@ def steady_residual(Q: sp.spmatrix, pi: np.ndarray) -> float:
     return float(np.abs(r).max()) if r.size else 0.0
 
 
-def condition_estimate(Q: sp.spmatrix) -> float | None:
-    """1-norm condition estimate of the replaced steady-state system.
+def norm1(A: sp.spmatrix) -> float:
+    """Exact 1-norm ``‖A‖₁`` of a sparse matrix: its largest absolute
+    column sum."""
+    return float(abs(A).sum(axis=0).max())
 
-    ``kappa_1(A) ~ onenormest(A) * onenormest(A^-1)`` where ``A`` is the
-    normalization-replaced transpose actually factorized by the direct
-    solvers — the matrix whose conditioning governs how many digits of
-    the solve survive.  ``A^-1`` is never formed; its 1-norm is
-    estimated through an LU solve operator (Higham & Tisseur's block
-    algorithm, a handful of solves).
 
-    Returns ``None`` when the system is too large
-    (:data:`CONDITION_ESTIMATE_LIMIT`), singular, or tiny (order < 2 —
-    ``onenormest`` needs a 2x2 or larger operator).
+def condition_estimate(Q: sp.spmatrix, lu=None, A=None) -> float | None:
+    """1-norm condition number ``kappa_1(A) = ‖A‖₁ ‖A⁻¹‖₁`` of the
+    replaced steady-state system.
+
+    ``A`` is the normalization-replaced transpose of ``Q`` that the
+    direct steady solvers factorize — the matrix whose conditioning
+    governs how many digits of the solve survive.  ``‖A‖₁`` is exact
+    (:func:`norm1`); ``‖A⁻¹‖₁`` is the deterministic Hager-Higham
+    estimate of :func:`_inverse_norm1`, a handful of solves with ``A``'s
+    LU factors.  ``A⁻¹`` is never formed.
+
+    Pass the solver's own factorization as ``lu`` (a SuperLU object of
+    ``A``) to read the estimate from it, and ``A`` itself when it is
+    already built, so nothing is rebuilt; without ``lu`` the function
+    factorizes ``A`` itself, counted as
+    ``ir.trust.condition_factorizations``, and only up to
+    :data:`CONDITION_ESTIMATE_LIMIT` states.
+
+    Returns ``None`` when the system is tiny (order < 2), too large to
+    factorize here, singular, or the estimate is not finite.
     """
-    from repro.numerics.steady import _replaced_system
+    if A is None:
+        from repro.numerics.steady import _replaced_system
 
-    Q = sp.csr_matrix(Q, dtype=np.float64)
-    n = Q.shape[0]
-    if n < 2 or n > CONDITION_ESTIMATE_LIMIT:
+        Q = sp.csr_matrix(Q, dtype=np.float64)
+        if Q.shape[0] < 2:
+            return None
+        A, _b = _replaced_system(Q)
+    n = A.shape[0]
+    if n < 2:
         return None
-    A, _b = _replaced_system(Q)
-    try:
-        lu = spla.splu(A)
-        # onenormest walks both A^-1 and its adjoint, so the operator
-        # needs rmatvec (a transposed LU solve) as well as matvec.
-        inv_op = spla.LinearOperator(
-            (n, n),
-            matvec=lu.solve,
-            rmatvec=lambda v: lu.solve(np.asarray(v, dtype=np.float64).ravel(), trans="T"),
-            dtype=np.float64,
-        )
-        norm_a = spla.onenormest(A)
-        norm_ainv = spla.onenormest(inv_op)
-    except (RuntimeError, ValueError):
-        return None
-    kappa = float(norm_a * norm_ainv)
+    if lu is None:
+        if n > CONDITION_ESTIMATE_LIMIT:
+            return None
+        get_registry().increment("ir.trust.condition_factorizations")
+        try:
+            lu = factorize(A)
+        except RuntimeError:
+            return None
+    kappa = norm1(A) * _inverse_norm1(lu)
     return kappa if np.isfinite(kappa) else None
+
+
+def _inverse_norm1(lu) -> float:
+    """Estimate ``‖A⁻¹‖₁`` from the sparse LU factors ``lu`` of ``A``
+    (a SuperLU object), solving with ``A`` and with ``A^T``.
+
+    Hager's method as refined by Higham (LAPACK ``xLACN2``): a gradient
+    ascent of ``‖A⁻¹ x‖₁`` over the unit ball of the 1-norm, started
+    from the uniform vector, then checked against Higham's alternating
+    test vector.  Every step is deterministic — unlike
+    ``scipy.sparse.linalg.onenormest``, which draws random starting
+    vectors from the global NumPy generator — so the same matrix always
+    gives the same estimate and no caller's random stream moves.  Each
+    value is ``‖A⁻¹ x‖₁`` for some ``‖x‖₁ = 1``, so the estimate is a
+    lower bound, almost always within a small factor of the truth; at
+    most eleven solves.
+    """
+    n = lu.shape[0]
+    solve = lu.solve
+    y = solve(np.full(n, 1.0 / n))
+    est = float(np.abs(y).sum())
+    signs = np.where(y >= 0.0, 1.0, -1.0)
+    j = int(np.argmax(np.abs(solve(signs, trans="T"))))
+    for _ in range(_NORM1_ITERATIONS):
+        unit = np.zeros(n)
+        unit[j] = 1.0
+        y = solve(unit)
+        previous, est = est, float(np.abs(y).sum())
+        new_signs = np.where(y >= 0.0, 1.0, -1.0)
+        if est <= previous or np.array_equal(new_signs, signs):
+            est = max(est, previous)
+            break
+        signs = new_signs
+        z = np.abs(solve(signs, trans="T"))
+        last, j = j, int(np.argmax(z))
+        if z[last] == z[j]:
+            break
+    alternating = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    alternating *= 1.0 + np.arange(n) / (n - 1)
+    return max(est, 2.0 * float(np.abs(solve(alternating)).sum()) / (3.0 * n))
 
 
 def simplex_defect(pi: np.ndarray) -> dict:

@@ -9,7 +9,8 @@ Three methods are provided, matching the ablation D1 in DESIGN.md:
 
 ``direct``
     Replace one balance equation by the normalization constraint and
-    solve the resulting nonsingular sparse system with ``splu``.  The
+    solve the resulting nonsingular sparse system with one sparse LU
+    under a fill-reducing ordering (:mod:`repro.numerics.lu`).  The
     workhorse for the state-space sizes PEPA's explicit engine reaches.
 ``gmres``
     Same replaced system solved iteratively with ILU-preconditioned
@@ -37,6 +38,8 @@ from repro.engine import faults
 from repro.engine.cache import cached
 from repro.engine.metrics import get_registry
 from repro.errors import ConvergenceError, SingularGeneratorError
+from repro.numerics import diagnostics
+from repro.numerics.lu import ORDERING, factorize
 
 __all__ = ["steady_state", "SteadyStateResult", "validate_generator"]
 
@@ -61,6 +64,11 @@ class SteadyStateResult:
         Max-norm of ``pi @ Q`` — a direct measure of solution quality.
     iterations:
         Iteration count for iterative methods, 0 for the direct solver.
+    condition:
+        1-norm condition number of the replaced system, read from the
+        direct solvers' own factorization (``None`` for the iterative
+        methods, which have none).  A diagnostic: like ``meta`` it is
+        excluded from equality and content hashing.
     meta:
         Execution metadata filled by :func:`steady_state`: ``cache``
         (``"hit"``/``"miss"``/``"off"``/``"uncacheable"``), ``method``
@@ -73,6 +81,7 @@ class SteadyStateResult:
     method: str
     residual: float
     iterations: int = 0
+    condition: float | None = field(default=None, compare=False)
     meta: dict = field(default_factory=dict, compare=False)
 
     def __getitem__(self, i: int) -> float:
@@ -131,21 +140,23 @@ def _replaced_system(Q: sp.csr_matrix) -> tuple[sp.csc_matrix, np.ndarray]:
     return A.tocsc(), b
 
 
-def _solve_direct(Q: sp.csr_matrix) -> tuple[np.ndarray, int]:
+def _solve_direct(Q: sp.csr_matrix) -> tuple[np.ndarray, int, float | None]:
     A, b = _replaced_system(Q)
     try:
-        lu = spla.splu(A)
+        lu = factorize(A)
         pi = lu.solve(b)
     except RuntimeError as exc:  # splu signals singularity this way
         raise SingularGeneratorError(f"direct solve failed: {exc}") from exc
-    return pi, 0
+    return pi, 0, diagnostics.condition_estimate(Q, lu=lu, A=A)
 
 
-def _solve_dense(Q: sp.csr_matrix) -> tuple[np.ndarray, int]:
+def _solve_dense(Q: sp.csr_matrix) -> tuple[np.ndarray, int, float | None]:
     """LAPACK solve of the replaced system on the densified matrix.
 
     The ablation baseline for the sparse-LU workhorse: identical
-    construction, dense factorization.  Limited to small systems.
+    construction, dense factorization (``getrf``/``getrs``), whose
+    ``gecon`` gives the 1-norm condition number.  Limited to small
+    systems.
     """
     n = Q.shape[0]
     if n > _DENSE_LIMIT:
@@ -154,14 +165,23 @@ def _solve_dense(Q: sp.csr_matrix) -> tuple[np.ndarray, int]:
             f"(got {n}); use the sparse direct method"
         )
     A, b = _replaced_system(Q)
-    try:
-        pi = scipy.linalg.solve(A.toarray(), b)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularGeneratorError(f"dense solve failed: {exc}") from exc
-    return pi, 0
+    M = A.toarray()
+    getrf, getrs, gecon = scipy.linalg.get_lapack_funcs(
+        ("getrf", "getrs", "gecon"), (M,)
+    )
+    lu, piv, info = getrf(M, overwrite_a=True)
+    if info > 0:
+        raise SingularGeneratorError(
+            f"dense solve failed: U[{info - 1}, {info - 1}] is exactly zero"
+        )
+    pi, _info = getrs(lu, piv, b)
+    rcond, _info = gecon(lu, diagnostics.norm1(A), norm="1")
+    return pi, 0, 1.0 / rcond if rcond > 0.0 else None
 
 
-def _solve_gmres(Q: sp.csr_matrix, tol: float, maxiter: int) -> tuple[np.ndarray, int]:
+def _solve_gmres(
+    Q: sp.csr_matrix, tol: float, maxiter: int
+) -> tuple[np.ndarray, int, None]:
     A, b = _replaced_system(Q)
     n = A.shape[0]
     try:
@@ -191,10 +211,12 @@ def _solve_gmres(Q: sp.csr_matrix, tol: float, maxiter: int) -> tuple[np.ndarray
             f"GMRES reported convergence but the true residual |Ax-b| = "
             f"{true_res:.3e} exceeds tolerance after {iters} iterations"
         )
-    return x, iters
+    return x, iters, None
 
 
-def _solve_power(Q: sp.csr_matrix, tol: float, maxiter: int) -> tuple[np.ndarray, int]:
+def _solve_power(
+    Q: sp.csr_matrix, tol: float, maxiter: int
+) -> tuple[np.ndarray, int, None]:
     n = Q.shape[0]
     diag = -Q.diagonal()
     lam = float(diag.max()) * 1.02 + 1e-12
@@ -211,7 +233,7 @@ def _solve_power(Q: sp.csr_matrix, tol: float, maxiter: int) -> tuple[np.ndarray
         delta = np.abs(nxt - pi).max()
         pi = nxt
         if delta < tol:
-            return pi, k
+            return pi, k, None
     raise ConvergenceError(
         f"power iteration did not converge below {tol} in {maxiter} iterations"
     )
@@ -271,7 +293,9 @@ def steady_state(
     with get_registry().timer("steady_state") as gauges:
         result, status = cached(
             "steady_state",
-            (Q, method, tol, maxiter),
+            # The LU ordering decides the low-order bits of a direct
+            # solve, so entries made under another ordering never match.
+            (Q, method, tol, maxiter, ORDERING),
             lambda: _solve_and_check(Q, method, tol, maxiter, diag),
         )
         gauges["n_states"] = n
@@ -298,13 +322,13 @@ def _solve_and_check(
     if faults.should_fire("solver_nonconverge", backend=method) is not None:
         raise ConvergenceError(f"injected non-convergence for method {method!r}")
     if method == "direct":
-        pi, iters = _solve_direct(Q)
+        pi, iters, condition = _solve_direct(Q)
     elif method == "dense":
-        pi, iters = _solve_dense(Q)
+        pi, iters, condition = _solve_dense(Q)
     elif method == "gmres":
-        pi, iters = _solve_gmres(Q, tol, maxiter)
+        pi, iters, condition = _solve_gmres(Q, tol, maxiter)
     else:
-        pi, iters = _solve_power(Q, tol, maxiter)
+        pi, iters, condition = _solve_power(Q, tol, maxiter)
     # Clean tiny negative round-off and renormalize.
     if pi.min() < -1e-6:
         raise SingularGeneratorError(
@@ -322,4 +346,7 @@ def _solve_and_check(
         raise SingularGeneratorError(
             f"steady-state residual {residual:.3e} too large; generator may be reducible"
         )
-    return SteadyStateResult(pi=pi, method=method, residual=residual, iterations=iters)
+    return SteadyStateResult(
+        pi=pi, method=method, residual=residual, iterations=iters,
+        condition=condition,
+    )

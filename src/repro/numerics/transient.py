@@ -20,6 +20,7 @@ import scipy.sparse as sp
 
 from repro.errors import NumericsError
 from repro.numerics.dtmc import uniformized_dtmc
+from repro.numerics.lu import factorize
 from repro.numerics.poisson import poisson_weights, poisson_truncation_point
 
 __all__ = [
@@ -191,9 +192,7 @@ def expected_hitting_time(
     Qtt = Q[trans][:, trans].tocsc()
     rhs = -np.ones(trans.size)
     try:
-        import scipy.sparse.linalg as spla
-
-        h = spla.splu(Qtt).solve(rhs)
+        h = factorize(Qtt).solve(rhs)
     except RuntimeError as exc:
         raise NumericsError(
             f"hitting-time system is singular (some state cannot reach the target): {exc}"

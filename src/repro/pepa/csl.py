@@ -41,6 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import NumericsError, PepaError
+from repro.numerics.lu import factorize
 from repro.numerics.transient import backward_transient
 from repro.pepa.ctmc import CTMC
 
@@ -272,8 +273,6 @@ def _prob_until_unbounded(chain: CTMC, phi: set[int], psi: set[int]) -> np.ndarr
     system nonsingular (closed classes inside ``Φ \\ Ψ`` would otherwise
     make ``Q_TT`` singular).
     """
-    import scipy.sparse.linalg as spla
-
     n = chain.n_states
     u = np.zeros(n)
     u[list(psi)] = 1.0
@@ -302,7 +301,7 @@ def _prob_until_unbounded(chain: CTMC, phi: set[int], psi: set[int]) -> np.ndarr
     Q_TT = rows_T[:, trans].tocsc()
     b = np.asarray(rows_T[:, sorted(psi)].sum(axis=1)).ravel()
     try:
-        x = spla.splu(Q_TT).solve(-b)
+        x = factorize(Q_TT).solve(-b)
     except RuntimeError as exc:
         raise NumericsError(f"unbounded-until system is singular: {exc}") from exc
     u[trans] = np.clip(x, 0.0, 1.0)

@@ -110,6 +110,75 @@ class TestResultCache:
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError):
             ResultCache(max_entries=0)
+        with pytest.raises(ValueError):
+            ResultCache(max_bytes=-1)
+
+
+def _payload_size(value) -> int:
+    import pickle
+
+    return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+class TestByteBudget:
+    BLOB = np.zeros(1000)  # ~8 KB pickled
+
+    def test_evicts_lru_until_bytes_fit(self):
+        size = _payload_size(self.BLOB)
+        cache = ResultCache(max_entries=100, max_bytes=2 * size)
+        cache.put("a", self.BLOB)
+        cache.put("b", self.BLOB)
+        cache.get("a")  # refresh a; b is now LRU
+        cache.put("c", self.BLOB)
+        assert len(cache) == 2
+        assert cache.stats()["bytes"] == 2 * size
+        assert isinstance(cache.get("a"), np.ndarray)
+        assert isinstance(cache.get("c"), np.ndarray)
+        assert not isinstance(cache.get("b"), np.ndarray)
+
+    def test_entry_bound_still_applies(self):
+        cache = ResultCache(max_entries=2, max_bytes=10**9)
+        for key in "abc":
+            cache.put(key, 1)
+        assert len(cache) == 2
+        assert cache.stats()["bytes"] == 2 * _payload_size(1)
+
+    def test_payload_over_budget_skips_memory(self, tmp_path):
+        cache = ResultCache(max_entries=4, max_bytes=100, disk_dir=tmp_path)
+        cache.put("small", 1)
+        cache.put("big", self.BLOB)
+        assert len(cache) == 1  # the small entry was not evicted for it
+        # The disk tier still keeps it; a hit does not load it into memory.
+        np.testing.assert_array_equal(cache.get("big"), self.BLOB)
+        assert len(cache) == 1
+
+    def test_running_total_tracks_replace_corrupt_and_clear(self):
+        cache = ResultCache(max_entries=4)
+        cache.put("k", self.BLOB)
+        cache.put("k", 1)  # replacing an entry releases its old bytes
+        assert cache.stats()["bytes"] == _payload_size(1)
+        cache._mem["k"] = b"not a pickle"
+        cache._mem_bytes = len(b"not a pickle")
+        assert not isinstance(cache.get("k"), int)  # corrupt: dropped
+        assert cache.stats()["bytes"] == 0
+        cache.put("k", 1)
+        cache.clear()
+        assert cache.stats()["bytes"] == 0
+
+    def test_configure_shrinks_at_once(self):
+        cache = get_cache()
+        before = (cache.max_entries, cache.max_bytes)
+        try:
+            cache.clear()
+            cache.put("x", self.BLOB)
+            cache.put("y", self.BLOB)
+            configure_cache(max_bytes=_payload_size(self.BLOB))
+            assert len(cache) == 1
+            with pytest.raises(ValueError):
+                configure_cache(max_bytes=-1)
+        finally:
+            configure_cache(max_entries=before[0], max_bytes=before[1])
+            cache.clear()
 
 
 class TestDiskIntegrity:

@@ -148,6 +148,47 @@ class TestSentinels:
         assert info.value.capability == "ode"
 
 
+class TestConditionFactorizations:
+    """kappa_1 comes from the solve's own LU; no second factorization."""
+
+    NAME = "ir.trust.condition_factorizations"
+
+    @pytest.fixture
+    def splu_calls(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        calls = []
+        real = spla.splu
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("permc_spec"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        return calls
+
+    def test_default_steady_solve_factorizes_once(self, splu_calls):
+        from repro.engine import cache_disabled
+
+        before = counter(self.NAME)
+        with cache_disabled():
+            result = solve(ring_ir(12), "steady")
+        assert splu_calls == ["MMD_AT_PLUS_A"]  # one fill-reducing LU
+        assert counter(self.NAME) == before
+        assert result.meta["diagnostics"]["condition_estimate"] == result.condition
+        assert result.condition is not None
+
+    def test_iterative_solve_factorizes_nothing(self, splu_calls):
+        from repro.engine import cache_disabled
+
+        before = counter(self.NAME)
+        with cache_disabled():
+            result = solve(ring_ir(12), "steady", backend="gmres")
+        assert splu_calls == []
+        assert counter(self.NAME) == before
+        assert result.meta["diagnostics"]["condition_estimate"] is None
+
+
 class TestDegenerateModels:
     def test_absorbing_ctmc_steady_errors_cleanly(self):
         Q = sp.csr_matrix(np.array([[-1.0, 1.0], [0.0, 0.0]]))

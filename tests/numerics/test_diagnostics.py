@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.engine import get_registry
 from repro.numerics import diagnostics as diag
+from repro.numerics.lu import factorize
+from repro.numerics.steady import _replaced_system
+from tests.conftest import random_generator
 
 
 def ring_Q(n: int = 4, rate: float = 1.0) -> sp.csr_matrix:
@@ -62,6 +66,50 @@ class TestConditionEstimate:
     def test_oversized_system_returns_none(self, monkeypatch):
         monkeypatch.setattr(diag, "CONDITION_ESTIMATE_LIMIT", 3)
         assert diag.condition_estimate(ring_Q(4)) is None
+
+    def test_deterministic_and_leaves_global_rng_alone(self):
+        # onenormest draws random start vectors from np.random: repeated
+        # calls on one matrix disagreed and advanced the caller's stream.
+        Q = random_generator(np.random.default_rng(50), 50, density=0.1)
+        np.random.seed(1234)
+        state = np.random.get_state()
+        first = diag.condition_estimate(Q)
+        second = diag.condition_estimate(Q)
+        after = np.random.get_state()
+        assert first is not None and first == second
+        assert after[0] == state[0]
+        np.testing.assert_array_equal(after[1], state[1])
+        assert after[2:] == state[2:]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_close_to_the_exact_condition_number(self, seed):
+        Q = random_generator(np.random.default_rng(seed), 30, density=0.2)
+        A = _replaced_system(Q)[0].toarray()
+        exact = np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1)
+        kappa = diag.condition_estimate(Q)
+        # A lower bound, and Hager-Higham is rarely off by more than 3x.
+        assert exact / 3.0 <= kappa <= exact * (1.0 + 1e-12)
+
+    def test_reuses_a_given_factorization(self, monkeypatch):
+        Q = ring_Q(6)
+        lu = factorize(_replaced_system(Q)[0])
+        own = diag.condition_estimate(Q)
+        monkeypatch.setattr(diag, "factorize", None)  # must not be needed
+        # The size limit only guards factorizations made here.
+        monkeypatch.setattr(diag, "CONDITION_ESTIMATE_LIMIT", 3)
+        assert diag.condition_estimate(Q, lu=lu) == own
+        # Given the system as well, nothing is rebuilt from Q.
+        A = _replaced_system(Q)[0]
+        assert diag.condition_estimate(None, lu=lu, A=A) == own
+
+    def test_counts_only_its_own_factorizations(self):
+        name = "ir.trust.condition_factorizations"
+        Q = ring_Q(5)
+        before = get_registry().counter(name)
+        diag.condition_estimate(Q)
+        assert get_registry().counter(name) == before + 1
+        diag.condition_estimate(Q, lu=factorize(_replaced_system(Q)[0]))
+        assert get_registry().counter(name) == before + 1
 
 
 class TestSimplexDefect:

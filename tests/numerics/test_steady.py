@@ -1,5 +1,7 @@
 """Steady-state solvers: closed forms, cross-method agreement, failure modes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -161,6 +163,41 @@ class TestCrossMethodAgreement:
         assert abs(result.pi.sum() - 1.0) < 1e-9
         assert (result.pi >= 0).all()
         assert result.residual < 1e-7 * max(1.0, abs(Q.diagonal()).max())
+
+
+class TestConditionNumber:
+    def test_direct_solvers_read_it_from_their_factorization(self):
+        Q = random_generator(np.random.default_rng(7), 20, density=0.2)
+        sparse = steady_state(Q, method="direct").condition
+        dense = steady_state(Q, method="dense").condition
+        assert sparse is not None and dense is not None
+        # LAPACK's gecon and the sparse Hager-Higham estimate are both
+        # lower bounds on the same exact kappa_1.
+        assert sparse == pytest.approx(dense, rel=0.5)
+
+    def test_iterative_solvers_have_none(self):
+        Q = random_generator(np.random.default_rng(7), 20, density=0.2)
+        assert steady_state(Q, method="gmres").condition is None
+        assert steady_state(Q, method="power").condition is None
+
+    def test_cache_is_keyed_on_the_lu_ordering(self, monkeypatch):
+        # A cache filled under another ordering holds other low-order
+        # bits of pi; it must miss instead of serving them.
+        from repro.engine import cache_override
+        from repro.numerics import steady as steady_mod
+
+        Q = two_state(1.7, 0.3)
+        with cache_override(True):
+            steady_state(Q, method="direct")
+            assert steady_state(Q, method="direct").meta["cache"] == "hit"
+            monkeypatch.setattr(steady_mod, "ORDERING", "COLAMD")
+            assert steady_state(Q, method="direct").meta["cache"] == "miss"
+
+    def test_condition_is_not_part_of_equality(self):
+        Q = two_state(1.0, 2.0)
+        result = steady_state(Q, method="direct")
+        assert result.condition is not None
+        assert dataclasses.replace(result, condition=None) == result
 
 
 class TestValidation:

@@ -129,6 +129,23 @@ class TestTrustFlags:
         assert "residual" in out
         assert "condition_estimate" in out
 
+    def test_diagnostics_estimate_condition_for_iterative_backends(
+        self, model_file, capsys
+    ):
+        from repro.engine import get_registry
+
+        name = "ir.trust.condition_factorizations"
+        before = get_registry().counter(name)
+        assert main(
+            ["solve", model_file, "--backend", "gmres", "--diagnostics"]
+        ) == 0
+        assert get_registry().counter(name) == before + 1
+        line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if "condition_estimate" in line
+        )
+        assert float(line.split()[-1]) >= 1.0
+
     def test_shadow_flag_cross_checks(self, model_file, capsys):
         assert main(
             ["solve", model_file, "--shadow", "dense", "--diagnostics"]
